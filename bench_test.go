@@ -169,13 +169,6 @@ func BenchmarkSimulatorThroughputHighLatency(b *testing.B) {
 	benchThroughput(b, ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 30000}, "sgemm")
 }
 
-// BenchmarkSimulatorThroughputCycleAccurate is the same high-latency point
-// under SimOptions.ForceCycleAccurate — the escape hatch's cost, and a
-// standing measurement of what the fast-forward clock buys.
-func BenchmarkSimulatorThroughputCycleAccurate(b *testing.B) {
-	benchThroughput(b, ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 30000, ForceCycleAccurate: true}, "sgemm")
-}
-
 // BenchmarkSimulatorThroughputLowLatency measures the opposite regime from
 // the high-latency points: BL at the baseline technology (Table 2 config #1)
 // with no latency multiplier, where almost every cycle has SOME warp

@@ -30,8 +30,6 @@
 //     the low-latency regime where few cycles are dead and the issue scan
 //     itself dominates (the ≥1.5x acceptance point of PR 7's indexed
 //     ready-warp scan)
-//   - sim_tech7_hi_cycle_accurate: the same configuration under
-//     Config.ForceCycleAccurate, measuring the fast-forward win itself
 //   - exp_quick:           the experiment engine end to end (table1 +
 //     figure11 on a two-workload subset, quick budgets)
 //   - compile:             the compiler pipeline on the largest kernel
@@ -186,7 +184,6 @@ func main() {
 		{"sim_tech7_hi", simBench("sim_tech7_hi", "hotspot", ltrf.SimOptions{Design: ltrf.LTRF, TechConfig: 7, LatencyX: 6.3})},
 		{"sim_bl_tech7_hi", simBench("sim_bl_tech7_hi", "sgemm", ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3})},
 		{"sim_bl_tech1_low", simBench("sim_bl_tech1_low", "sgemm", ltrf.SimOptions{Design: ltrf.BL, TechConfig: 1, LatencyX: 1.0})},
-		{"sim_tech7_hi_cycle_accurate", simBench("sim_tech7_hi_cycle_accurate", "hotspot", ltrf.SimOptions{Design: ltrf.LTRF, TechConfig: 7, LatencyX: 6.3, ForceCycleAccurate: true})},
 		{"exp_quick", expBench("exp_quick", []string{"table1", "figure11"})},
 		{"compile", compileBench("compile")},
 	}

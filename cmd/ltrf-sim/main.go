@@ -47,7 +47,6 @@ func main() {
 		sched    = flag.String("sched", "", "warp scheduler: twolevel (default) | static | flat")
 		prefetch = flag.String("prefetch", "", "hardware prefetcher: off (default) | stride | cta")
 		ctas     = flag.Int("ctas", 0, "resident CTAs per SM (0 = one CTA; splits warps, barriers, and the shared-memory budget)")
-		cycleAcc = flag.Bool("cycle-accurate", false, "tick one cycle per pass instead of the event-driven fast-forward (identical results, slower; for debugging/measurement)")
 		timeout  = flag.Duration("timeout", 0, "abort the simulation after this duration (0 = none); Ctrl-C aborts too")
 		list     = flag.Bool("list", false, "list workloads")
 	)
@@ -98,10 +97,9 @@ func main() {
 	res, err := ltrf.SimulateContext(ctx, ltrf.SimOptions{
 		Design: d, TechConfig: *tech, LatencyX: *latency,
 		ActiveWarps: *warps, IntervalRegs: *n, MaxInstrs: *instrs,
-		Scheduler:          ltrf.Scheduler(*sched),
-		Prefetch:           *prefetch,
-		CTAsPerSM:          *ctas,
-		ForceCycleAccurate: *cycleAcc,
+		Scheduler: ltrf.Scheduler(*sched),
+		Prefetch:  *prefetch,
+		CTAsPerSM: *ctas,
 	}, w.Build(3))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltrf-sim:", err)

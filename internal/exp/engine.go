@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -74,7 +75,7 @@ func (p Point) config() (sim.Config, error) {
 	c.Tech = tech
 	c.LatencyX = p.LatencyX
 	c.MaxInstrs = p.Budget
-	c.MaxCycles = p.Budget * 12
+	c.MaxCycles = p.Budget * cyclesPerInstr
 	if p.RegsPerInterval != 0 {
 		c.RegsPerInterval = p.RegsPerInterval
 	}
@@ -85,6 +86,31 @@ func (p Point) config() (sim.Config, error) {
 	c.Mem.Prefetch.Mode = memsys.PrefetchMode(p.Prefetch)
 	c.CTAsPerSM = p.CTAs
 	return c, nil
+}
+
+// cyclesPerInstr is the hard cycle stop a point's simulation gets per
+// budgeted instruction.
+const cyclesPerInstr = 12
+
+// maxBudget is the largest instruction budget a Point accepts: the cycle
+// stop derived from it must fit in an int64.
+const maxBudget = math.MaxInt64 / cyclesPerInstr
+
+// Validate reports whether the point describes a simulation the engine can
+// run: the budget is in [1, maxBudget] — so the cycle stop config derives
+// cannot overflow — and the configuration it builds passes
+// sim.Config.Validate. Serving layers call it before admission, so a bad
+// point is a client error instead of a failed (and memoized) evaluation.
+// The workload name is the caller's to resolve.
+func (p Point) Validate() error {
+	if p.Budget < 1 || p.Budget > maxBudget {
+		return fmt.Errorf("budget %d outside [1, %d]", p.Budget, int64(maxBudget))
+	}
+	c, err := p.config()
+	if err != nil {
+		return err
+	}
+	return c.Validate()
 }
 
 // PanicError is the structured error a panicking evaluation (a buggy design
@@ -222,7 +248,7 @@ func NewEngine() *Engine {
 //
 // A store-backed engine also participates in the store's per-point lease
 // protocol: replicas sharing the store directory compute each cold point
-// exactly once (the winner of the O_EXCL lease simulates and publishes;
+// exactly once (the winner of the exclusive lease simulates and publishes;
 // the others wait on the published entry). A lease held longer than the
 // TTL (SetLeaseTTL; default store.DefaultLeaseTTL) is presumed crashed and
 // taken over.
@@ -425,7 +451,7 @@ func (e *Engine) evalProtected(ctx context.Context, p Point, wait bool) (res *si
 //
 // Cold points additionally run the store's per-point lease protocol so N
 // replicas sharing the directory compute each point exactly once: claim
-// the lease (O_EXCL create) and compute on success; on ErrLeaseHeld either
+// the lease (exclusive create) and compute on success; on ErrLeaseHeld either
 // poll Has with the store's jittered backoff until the winner publishes
 // (wait=true, re-contending each round so released/expired leases are
 // picked up), or return errLeaseBusy for the caller to defer (wait=false).

@@ -18,7 +18,6 @@ type BankSet struct {
 
 	Accesses  int64
 	Conflicts int64 // accesses that had to wait for the bank
-	BusyTime  int64 // total bank-busy cycles (utilization numerator)
 }
 
 // NewBankSet creates n banks with the given initiation interval and access
@@ -59,16 +58,7 @@ func (b *BankSet) Access(now int64, bank int) int64 {
 		b.Conflicts++
 	}
 	b.free[bank] = start + b.initiation
-	b.BusyTime += b.initiation
 	return start + b.latency
-}
-
-// Utilization returns the fraction of bank-cycles occupied through `now`.
-func (b *BankSet) Utilization(now int64) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(b.BusyTime) / float64(now*int64(len(b.free)))
 }
 
 // mainBank maps (warp, register) to a main-RF bank. Registers of one warp

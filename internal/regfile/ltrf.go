@@ -105,8 +105,7 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 	c.st.Prefetches++
 
 	done := now
-	fetch := ws.Diff(w.Present)
-	fetch.ForEach(func(i int) {
+	ws.Diff(w.Present).ForEach(func(i int) {
 		r := isa.Reg(i)
 		if w.FreeSlots() == 0 {
 			c.evictForAvoiding(now, w, ws, c.plus)
@@ -122,8 +121,6 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 			done = t
 		}
 	})
-	tracePrefetch("pf w=%d unit=%d now=%d stall=%d fetch=%d free0=%d mainU=%.2f xbarU=%.2f\n",
-		w.ID, unitID, now, done-now, fetch.Count(), c.main.free[0], c.main.Utilization(now+1), c.xbar.Utilization(now+1))
 
 	w.WS = ws
 	w.CurUnit = unitID

@@ -423,3 +423,32 @@ func TestQuickLTRFWorkingSetResident(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLTRFOnUnitEnterAllocationFree guards the PREFETCH path: entering a
+// prefetch unit — fetching its working set, evicting around it — allocates
+// nothing, for LTRF and LTRF+, while a warp alternates between two
+// overlapping working sets that overflow its cache partition together.
+func TestLTRFOnUnitEnterAllocationFree(t *testing.T) {
+	a := bitvec.New(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	b := bitvec.New(6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17)
+	for _, plus := range []bool{false, true} {
+		ltrf := NewLTRF(testConfig(2), plus)
+		w := NewWarpRegs(0, DefaultCacheBanks)
+		w.Live = bitvec.New(0, 2, 4, 6, 8, 10, 12, 14, 16)
+		now, unit := int64(0), 0
+		allocs := testing.AllocsPerRun(200, func() {
+			ws := a
+			if unit%2 == 1 {
+				ws = b
+			}
+			now = ltrf.OnUnitEnter(now, w, unit, ws) + 1
+			unit++
+		})
+		if allocs != 0 {
+			t.Errorf("plus=%v: OnUnitEnter allocates %.1f per call, want 0", plus, allocs)
+		}
+		if ltrf.Stats().Prefetches < 200 {
+			t.Fatalf("plus=%v: %d prefetches; the guard exercised nothing", plus, ltrf.Stats().Prefetches)
+		}
+	}
+}

@@ -38,8 +38,6 @@ import (
 	"time"
 
 	"ltrf/internal/exp"
-	"ltrf/internal/memsys"
-	"ltrf/internal/memtech"
 	"ltrf/internal/regfile"
 	"ltrf/internal/sim"
 	"ltrf/internal/workloads"
@@ -311,9 +309,10 @@ type EvalResponse struct {
 	Stats     sim.Stats `json:"stats"`
 }
 
-// parsePoint validates an EvalRequest against the live registries and
-// builds the canonical point. Validation happens BEFORE evaluation so bad
-// input is a 400, never a burned simulation slot.
+// parsePoint resolves an EvalRequest against the live registries, applies
+// its defaults, and builds the canonical point, validated by
+// exp.Point.Validate. Validation happens BEFORE evaluation so bad input is
+// a 400, never a burned simulation slot or a memoized failure.
 func parsePoint(req *EvalRequest) (exp.Point, error) {
 	desc, err := regfile.Lookup(req.Design)
 	if err != nil {
@@ -326,31 +325,13 @@ func parsePoint(req *EvalRequest) (exp.Point, error) {
 	if req.Tech == 0 {
 		req.Tech = 1
 	}
-	if _, err := memtech.Config(req.Tech); err != nil {
-		return exp.Point{}, err
-	}
 	if req.LatencyX == 0 {
 		req.LatencyX = 1.0
-	}
-	if req.LatencyX < 0 {
-		return exp.Point{}, fmt.Errorf("latency_x %v must be positive", req.LatencyX)
 	}
 	if req.Budget == 0 {
 		req.Budget = 40_000
 	}
-	if req.Budget < 0 {
-		return exp.Point{}, fmt.Errorf("budget %d must be positive", req.Budget)
-	}
-	if req.RegsPerInterval < 0 || req.ActiveWarps < 0 {
-		return exp.Point{}, fmt.Errorf("knob overrides must be non-negative")
-	}
-	if err := (memsys.PrefetchConfig{Mode: memsys.PrefetchMode(req.Prefetch)}).Validate(); err != nil {
-		return exp.Point{}, err
-	}
-	if req.CTAs < 0 {
-		return exp.Point{}, fmt.Errorf("ctas %d must be non-negative", req.CTAs)
-	}
-	return exp.Point{
+	p := exp.Point{
 		Design:          sim.Design(desc.Name),
 		Tech:            req.Tech,
 		LatencyX:        req.LatencyX,
@@ -361,7 +342,11 @@ func parsePoint(req *EvalRequest) (exp.Point, error) {
 		ActiveWarps:     req.ActiveWarps,
 		Prefetch:        req.Prefetch,
 		CTAs:            req.CTAs,
-	}, nil
+	}
+	if err := p.Validate(); err != nil {
+		return exp.Point{}, err
+	}
+	return p, nil
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {

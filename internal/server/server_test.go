@@ -100,6 +100,12 @@ func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
 		{"design": "LTRF", "workload": "sgemm", "latency_x": -1},
 		{"design": "LTRF", "workload": "sgemm", "budget": -5},
 		{"design": "LTRF", "workload": "sgemm", "bogus_field": 1},
+		// Out of the simulator's range: interval budgets below its minimum
+		// or above the architectural register count, and a budget whose
+		// derived cycle stop (12 cycles per instruction) overflows int64.
+		{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 2},
+		{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 100_000_000},
+		{"design": "LTRF", "workload": "sgemm", "budget": 8e17},
 	}
 	for _, c := range cases {
 		code, m := post(t, ts.URL+"/v1/eval", c)
@@ -109,6 +115,9 @@ func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
 	}
 	if n := srv.cfg.Engine.Sims(); n != 0 {
 		t.Errorf("validation burned %d simulations, want 0", n)
+	}
+	if n := srv.cfg.Engine.Failures(); n != 0 {
+		t.Errorf("validation recorded %d engine failures, want 0", n)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"ltrf/internal/exp"
-	"ltrf/internal/memsys"
-	"ltrf/internal/memtech"
 	"ltrf/internal/regfile"
 	"ltrf/internal/sim"
 	"ltrf/internal/workloads"
@@ -127,9 +125,11 @@ type SweepFail struct {
 // maxSweepPoints caps the expanded grid (Config.MaxSweepPoints overrides).
 const maxSweepPoints = 4096
 
-// expandSweep validates every axis against the live registries and expands
-// the request to the canonical point grid. Validation happens BEFORE
-// admission, so a bad axis is a 400 and never burns an evaluation slot.
+// expandSweep resolves design and workload names against the live
+// registries, validates every axis tuple through exp.Point.Validate, and
+// expands the request to the canonical point grid. Validation happens
+// BEFORE admission, so a bad axis is a 400 and never burns an evaluation
+// slot.
 //
 // Expansion order (fixed, documented, index-defining): designs (outer) ×
 // techs × latency_xs × schedulers × prefetch × ctas × workloads (inner).
@@ -160,55 +160,24 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	if len(techs) == 0 {
 		techs = []int{1}
 	}
-	for _, tn := range techs {
-		if _, err := memtech.Config(tn); err != nil {
-			return nil, err
-		}
-	}
 	lats := req.LatencyXs
 	if len(lats) == 0 {
 		lats = []float64{1.0}
 	}
-	for _, lx := range lats {
-		if lx <= 0 {
-			return nil, fmt.Errorf("latency_x %v must be positive", lx)
-		}
-	}
 	if req.Budget == 0 {
 		req.Budget = 40_000
-	}
-	if req.Budget < 0 {
-		return nil, fmt.Errorf("budget %d must be positive", req.Budget)
 	}
 	scheds := req.Schedulers
 	if len(scheds) == 0 {
 		scheds = []string{""}
 	}
-	for _, sc := range scheds {
-		switch sim.Scheduler(sc) {
-		case "", sim.SchedTwoLevel, sim.SchedStatic, sim.SchedFlat:
-		default:
-			return nil, fmt.Errorf("unknown scheduler %q (known: %s, %s, %s)",
-				sc, sim.SchedTwoLevel, sim.SchedStatic, sim.SchedFlat)
-		}
-	}
 	prefs := req.Prefetch
 	if len(prefs) == 0 {
 		prefs = []string{""}
 	}
-	for _, pm := range prefs {
-		if err := (memsys.PrefetchConfig{Mode: memsys.PrefetchMode(pm)}).Validate(); err != nil {
-			return nil, err
-		}
-	}
 	ctas := req.CTAs
 	if len(ctas) == 0 {
 		ctas = []int{0}
-	}
-	for _, c := range ctas {
-		if c < 0 {
-			return nil, fmt.Errorf("ctas %d must be non-negative", c)
-		}
 	}
 
 	n := len(designs) * len(techs) * len(lats) * len(scheds) * len(prefs) * len(ctas) * len(wls)
@@ -222,18 +191,24 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 				for _, sc := range scheds {
 					for _, pm := range prefs {
 						for _, ct := range ctas {
+							// The workload does not enter the simulator
+							// configuration: validate once per axis tuple.
+							p := exp.Point{
+								Design:    sim.Design(d),
+								Tech:      tn,
+								LatencyX:  lx,
+								Unroll:    workloads.UnrollMaxwell,
+								Budget:    req.Budget,
+								Scheduler: sim.Scheduler(sc),
+								Prefetch:  pm,
+								CTAs:      ct,
+							}
+							if err := p.Validate(); err != nil {
+								return nil, err
+							}
 							for _, wl := range wls {
-								pts = append(pts, exp.Point{
-									Design:    sim.Design(d),
-									Tech:      tn,
-									LatencyX:  lx,
-									Workload:  wl,
-									Unroll:    workloads.UnrollMaxwell,
-									Budget:    req.Budget,
-									Scheduler: sim.Scheduler(sc),
-									Prefetch:  pm,
-									CTAs:      ct,
-								})
+								p.Workload = wl
+								pts = append(pts, p)
 							}
 						}
 					}

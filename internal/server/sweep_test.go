@@ -190,7 +190,7 @@ func TestSweepWarmRecordArrivesBeforeColdSimulationFinishes(t *testing.T) {
 }
 
 func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	for name, body := range map[string]map[string]any{
 		"no designs":      {"workloads": []string{"vectoradd"}},
 		"no workloads":    {"designs": []string{"BL"}},
@@ -201,12 +201,20 @@ func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
 		"bad scheduler":   {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "schedulers": []string{"nosuch"}},
 		"bad prefetch":    {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "prefetch": []string{"nosuch"}},
 		"negative budget": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": -1},
+		// Its derived cycle stop (12 cycles per instruction) overflows int64.
+		"overflowing budget": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": 8e17},
 	} {
 		resp := postSweep(t, ts, body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if n := srv.cfg.Engine.Sims(); n != 0 {
+		t.Errorf("validation burned %d simulations, want 0", n)
+	}
+	if n := srv.cfg.Engine.Failures(); n != 0 {
+		t.Errorf("validation recorded %d engine failures, want 0", n)
 	}
 }
 

@@ -78,23 +78,18 @@ const (
 	// pins its slot — so kernels that hide latency in software (the
 	// pipelined family) lose the least under it.
 	SchedStatic Scheduler = "static"
-	// SchedFlat makes every resident warp schedulable (no active subset),
-	// the FlatScheduler ablation as a named mode.
+	// SchedFlat makes every resident warp schedulable (no active subset):
+	// the flat-scheduler ablation.
 	SchedFlat Scheduler = "flat"
 )
 
 // SchedulerMode resolves the configured scheduler: the Scheduler field when
-// set, else SchedFlat when the legacy FlatScheduler flag is set, else
-// SchedTwoLevel. Setting both Scheduler and FlatScheduler inconsistently is
-// rejected by Validate.
+// set, else SchedTwoLevel.
 func (c *Config) SchedulerMode() Scheduler {
-	if c.Scheduler != "" {
-		return c.Scheduler
+	if c.Scheduler == "" {
+		return SchedTwoLevel
 	}
-	if c.FlatScheduler {
-		return SchedFlat
-	}
-	return SchedTwoLevel
+	return c.Scheduler
 }
 
 // Descriptor resolves the design in the regfile registry; the error for an
@@ -157,31 +152,21 @@ type Config struct {
 	// WideXbar uses a full-bandwidth (1 cycle/register) prefetch crossbar
 	// instead of the 4x-narrower one of §4.2 (ablation).
 	WideXbar bool
-	// FlatScheduler disables two-level scheduling, making all resident
-	// warps schedulable (ablation; BL and Ideal use this implicitly).
-	// Equivalent to Scheduler: SchedFlat; kept for back-compat with stored
-	// experiment points and the existing CLI flag.
-	FlatScheduler bool
 	// Scheduler selects the warp-scheduler variant for the PR 4
 	// reshuffle-sensitivity axis. Empty means SchedTwoLevel (the paper's
-	// scheduler) unless FlatScheduler is set. See SchedulerMode.
+	// scheduler). See SchedulerMode.
 	Scheduler Scheduler
-	// ForceCycleAccurate pins the simulator's historical reference stack:
-	// the one-cycle-per-pass clock instead of the event-driven fast-forward
-	// that jumps the dead spans in which no warp can issue, AND the linear
-	// issue scan that examines every active warp each pass instead of the
-	// indexed ready-ring scan (ring.go) that walks only armed warps. The
-	// two stacks produce IDENTICAL results — every Stats field, asserted by
-	// the equivalence property suite and fuzzed by
-	// FuzzIndexedScanEquivalence — so this is an escape hatch for debugging
-	// the scheduler cycle-by-cycle and for measuring the speedup itself,
-	// not a fidelity knob.
-	ForceCycleAccurate bool
-	// TrackDeactPCs records per-PC deactivation counts (diagnostic; costs a
-	// map update on the deactivation path, so it is off by default).
-	TrackDeactPCs bool
 
 	Seed uint64
+
+	// reference selects the reference stack: the one-cycle-per-pass clock
+	// instead of the event-driven fast-forward that jumps the dead spans in
+	// which no warp can issue, and the linear issue scan that examines
+	// every active warp each pass instead of the indexed ready-ring scan
+	// (ring.go). The two stacks produce IDENTICAL results — every Stats
+	// field — so only this package's equivalence, differential and fuzz
+	// tests set it, as the oracle the production stack is held to.
+	reference bool
 }
 
 // DefaultConfig returns the Table 3 system for a design at baseline
@@ -318,8 +303,11 @@ func (c *Config) Validate() error {
 	if err := c.Mem.Prefetch.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if c.RegsPerInterval < 4 {
-		return fmt.Errorf("sim: RegsPerInterval %d below minimum 4", c.RegsPerInterval)
+	// A prefetch unit's working set is a set of architectural registers,
+	// so a larger budget means nothing — and it sizes per-warp register
+	// state, so an unbounded one exhausts memory before the run starts.
+	if c.RegsPerInterval < 4 || c.RegsPerInterval > isa.MaxArchRegs {
+		return fmt.Errorf("sim: RegsPerInterval %d outside [4, %d]", c.RegsPerInterval, isa.MaxArchRegs)
 	}
 	if c.IssueWidth < 1 {
 		return fmt.Errorf("sim: IssueWidth must be >= 1")
@@ -334,9 +322,6 @@ func (c *Config) Validate() error {
 	case "", SchedTwoLevel, SchedStatic, SchedFlat:
 	default:
 		return fmt.Errorf("sim: unknown scheduler %q (known: %s, %s, %s)", c.Scheduler, SchedTwoLevel, SchedStatic, SchedFlat)
-	}
-	if c.FlatScheduler && c.Scheduler != "" && c.Scheduler != SchedFlat {
-		return fmt.Errorf("sim: FlatScheduler conflicts with Scheduler %q", c.Scheduler)
 	}
 	if err := c.Chip.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)

@@ -1,8 +1,9 @@
 package sim
 
-// The event-driven clock's correctness contract: the fast-forward core
-// (default) and the cycle-accurate escape hatch (Config.ForceCycleAccurate)
-// must produce IDENTICAL results — every Stats field, including the
+// The event-driven clock's correctness contract: the production stack
+// (event-driven clock plus indexed issue scan) and the reference stack that
+// the unexported Config.reference hook selects (one-cycle clock plus linear
+// scan) must produce IDENTICAL results — every Stats field, including the
 // scheduler counters the clock-jumping logic touches (activations,
 // deactivations, round-robin-order-dependent issue interleavings) and the
 // new IdleCycles accounting. The suite sweeps the full design x memtech x
@@ -12,6 +13,7 @@ package sim
 // interleaving.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -22,23 +24,23 @@ import (
 	"ltrf/internal/workloads"
 )
 
-// runBothModes simulates one configuration under the fast-forward and
-// cycle-accurate clocks and fails the test unless the Stats are deeply
-// equal. It returns the fast-forward result for any further checks.
+// runBothModes simulates one configuration under the production and
+// reference stacks and fails the test unless the Stats are deeply equal. It
+// returns the production result for any further checks.
 func runBothModes(t *testing.T, label string, c Config, prog *isa.Program, cc *CompileCache) Stats {
 	t.Helper()
-	c.ForceCycleAccurate = false
+	c.reference = false
 	ff, err := RunWithCache(c, prog, cc)
 	if err != nil {
 		t.Fatalf("%s (fast-forward): %v", label, err)
 	}
-	c.ForceCycleAccurate = true
+	c.reference = true
 	ca, err := RunWithCache(c, prog, cc)
 	if err != nil {
-		t.Fatalf("%s (cycle-accurate): %v", label, err)
+		t.Fatalf("%s (reference): %v", label, err)
 	}
 	if !reflect.DeepEqual(ff.Stats, ca.Stats) {
-		t.Errorf("%s: fast-forward diverges from cycle-accurate:\n  ff: %+v\n  ca: %+v",
+		t.Errorf("%s: fast-forward diverges from the reference:\n  ff: %+v\n  ca: %+v",
 			label, ff.Stats, ca.Stats)
 	}
 	if ff.IdleCycles < 0 || ff.IdleCycles > ff.Cycles {
@@ -83,10 +85,9 @@ func TestFastForwardEquivalenceCrossProduct(t *testing.T) {
 }
 
 // TestFastForwardEquivalenceDiagnostics covers the configuration corners
-// the cross-product holds fixed: the per-PC deactivation diagnostic map
-// (whose population order must survive clock-jumping), the flat-scheduler
-// ablation, the wide-crossbar ablation, and a tight MaxCycles budget that
-// the jump clamp must hit on exactly the historical cycle.
+// the cross-product holds fixed: the flat and static schedulers, the
+// wide-crossbar ablation, and a tight MaxCycles budget that the jump clamp
+// must hit on exactly the historical cycle.
 func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 	cc := NewCompileCache()
 	kernel := streamKernel(10, 300)
@@ -94,12 +95,6 @@ func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 	base := DefaultConfig(DesignLTRF)
 	base.MaxInstrs = 6000
 	base.MaxCycles = 6000 * 12
-
-	track := base
-	track.TrackDeactPCs = true
-
-	flat := base
-	flat.FlatScheduler = true
 
 	flatNamed := base
 	flatNamed.Scheduler = SchedFlat
@@ -121,20 +116,18 @@ func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 		label string
 		cfg   Config
 	}{
-		{"track-deact-pcs", track},
-		{"flat-scheduler", flat},
 		{"flat-scheduler-named", flatNamed},
 		{"static-scheduler", static},
 		{"wide-xbar", wide},
 		{"tight-max-cycles", tight},
 		{"ideal-flat", ideal},
 	} {
-		tc.cfg.ForceCycleAccurate = false
+		tc.cfg.reference = false
 		ff, err := RunWithCache(tc.cfg, kernel, cc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
-		tc.cfg.ForceCycleAccurate = true
+		tc.cfg.reference = true
 		ca, err := RunWithCache(tc.cfg, kernel, cc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
@@ -142,8 +135,30 @@ func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 		if !reflect.DeepEqual(ff.Stats, ca.Stats) {
 			t.Errorf("%s: fast-forward diverges:\n  ff: %+v\n  ca: %+v", tc.label, ff.Stats, ca.Stats)
 		}
-		if !reflect.DeepEqual(ff.deactByPC, ca.deactByPC) {
-			t.Errorf("%s: deactByPC diverges: %v vs %v", tc.label, ff.deactByPC, ca.deactByPC)
+	}
+}
+
+// TestMultiCTABarrierEquivalence pins the one ready-ring rule whose event
+// the index cannot see: a watched warp — blocked on a long load, its
+// deactivation waiting for an earlier candidate in the inactive pool — must
+// stay armed and be re-examined every pass, because the pool can gain such
+// a candidate at any time, e.g. when another CTA's barrier releases its
+// warps into it. With one CTA a barrier never releases while a warp is
+// watched, so the single-CTA kernels elsewhere in the suite cannot tell an
+// armed watch warp from a parked one; several CTAs sharing barriers can.
+func TestMultiCTABarrierEquivalence(t *testing.T) {
+	cc := NewCompileCache()
+	kernel := smemDoubleBufKernel(6, 5)
+	for _, d := range []Design{DesignBL, DesignLTRF, DesignRFC} {
+		for _, ctas := range []int{2, 4} {
+			c := DefaultConfig(d)
+			c.CTAsPerSM = ctas
+			c.MaxInstrs = 4000
+			c.MaxCycles = 4000 * 12
+			st := runBothModes(t, fmt.Sprintf("%s/%d-ctas", d, ctas), c, kernel, cc)
+			if st.BarrierReleases == 0 {
+				t.Errorf("%s/%d CTAs: no barrier released; the check was vacuous", d, ctas)
+			}
 		}
 	}
 }
@@ -197,12 +212,12 @@ func TestGPUFastForwardEquivalence(t *testing.T) {
 			c.LatencyX = 4
 			kernel := tiledKernel(30, 10)
 
-			c.ForceCycleAccurate = false
+			c.reference = false
 			ff, err := RunGPU(c, nSMs, kernel)
 			if err != nil {
 				t.Fatalf("%v/%dSM: %v", d, nSMs, err)
 			}
-			c.ForceCycleAccurate = true
+			c.reference = true
 			ca, err := RunGPU(c, nSMs, kernel)
 			if err != nil {
 				t.Fatalf("%v/%dSM: %v", d, nSMs, err)

@@ -91,14 +91,6 @@ func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*
 	l2 := memsys.MustNewCache(c.Mem.L2)
 	dram := memsys.NewDRAM(c.Mem.DRAM)
 
-	activeCap := c.ActiveWarps
-	if c.SchedulerMode() == SchedFlat {
-		activeCap = warps
-	}
-	if activeCap > warps {
-		activeCap = warps
-	}
-
 	sms := make([]*SM, nSMs)
 	for i := 0; i < nSMs; i++ {
 		// Each SM owns a private shared-memory scratchpad; its register
@@ -110,7 +102,7 @@ func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*
 		if err != nil {
 			return nil, err
 		}
-		sms[i] = newSM(&c, prog, part, rf, mem, warps, activeCap, i*warps)
+		sms[i] = newSM(&c, prog, part, rf, mem, warps, i*warps)
 	}
 
 	// Lockstep: one issue pass across all SMs per iteration, so shared
@@ -120,7 +112,7 @@ func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*
 	// idle pass: during such a span no SM touches the shared L2/DRAM (idle
 	// passes make no memory accesses), so the interleaving — and with it
 	// every cache/row-buffer outcome — is unchanged.
-	fastForward := !c.ForceCycleAccurate
+	fastForward := !c.reference
 	passed := make([]bool, nSMs)
 	idles := make([]bool, nSMs)
 	done := ctx.Done()

@@ -24,11 +24,18 @@ func buildTestSM(t testing.TB, c Config, virtual *isa.Program) *SM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	activeCap := c.ActiveWarps
-	if activeCap > warps {
-		activeCap = warps
+	return newSM(&c, prog, part, rf, mem, warps, 0)
+}
+
+// step advances the SM by one cycle, returning false when the kernel has
+// finished or a budget is exhausted — one cycle of the reference clock,
+// used by tests that drive an SM pass by pass.
+func (sm *SM) step() bool {
+	if !sm.runnable() {
+		return false
 	}
-	return newSM(&c, prog, part, rf, mem, warps, activeCap, 0)
+	sm.advanceTo(sm.cycle+1, sm.pass())
+	return true
 }
 
 // aluKernel is a long-running compute-only loop: it keeps the issue path
@@ -167,35 +174,6 @@ func TestFinishedCounterMatchesScan(t *testing.T) {
 	}
 	if sm.finished != len(sm.warps) {
 		t.Fatalf("finished counter %d at end, want %d", sm.finished, len(sm.warps))
-	}
-}
-
-// TestDeactPCTrackingGated asserts the diagnostic map is only populated
-// under the config flag.
-func TestDeactPCTrackingGated(t *testing.T) {
-	kernel := streamKernel(8, 400)
-
-	c := DefaultConfig(DesignLTRF)
-	c.MaxInstrs = 20_000
-	res, err := Run(c, kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.deactByPC != nil {
-		t.Error("deactByPC populated without TrackDeactPCs")
-	}
-
-	c.TrackDeactPCs = true
-	res2, err := Run(c, kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Deactivations != res.Deactivations {
-		t.Fatalf("tracking changed behavior: %d vs %d deactivations",
-			res2.Deactivations, res.Deactivations)
-	}
-	if res2.Deactivations > 0 && res2.deactByPC == nil {
-		t.Error("TrackDeactPCs set but deactByPC empty despite deactivations")
 	}
 }
 

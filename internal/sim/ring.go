@@ -41,19 +41,19 @@ package sim
 // scan would have examined and skipped without any state change (proven
 // case-by-case in visitActive, differentially by
 // TestReadyRingMatchesReferenceScan and FuzzIndexedScanEquivalence, and
-// end-to-end by the equivalence cross-product against the
-// ForceCycleAccurate linear-scan reference).
+// end-to-end by the equivalence cross-product against the linear-scan
+// reference that the unexported Config.reference hook selects). Both scans
+// share one per-warp decision (SM.decide); the index only decides which
+// warps to visit.
 //
-// Equivalence also needs nextWake (the event-driven clock's jump target)
-// to be unchanged: parked warps contribute their wake time through the
-// wheel/heap minima instead of a per-pass wakeAt, the same value the
-// linear scan re-derives every pass.
+// The event-driven clock also needs nextWake (its jump target) to be exact
+// after an idle pass: parked warps contribute their wake time through the
+// wheel/heap minima instead of a per-pass wakeAt, and warps that stay armed
+// while blocked (watch verdicts) contribute theirs on every visit.
 
 import (
 	"math"
 	"math/bits"
-
-	"ltrf/internal/isa"
 )
 
 // ringBuckets is the wake wheel's horizon in cycles (power of two). Parks
@@ -260,9 +260,9 @@ func (sm *SM) ringWakeDue() {
 }
 
 // ringParkScan parks the warp at position pos until cycle `at`, mid-scan:
-// the wheel/heap entry replaces the per-pass wakeAt the linear scan
-// re-derives, and wakeAt(at) keeps THIS pass's nextWake identical (the
-// scan read the index minimum before this entry existed).
+// the wheel/heap entry carries the wake time into later passes' nextWake,
+// and wakeAt(at) adds it to THIS pass's (the scan read the index minimum
+// before this entry existed).
 func (sm *SM) ringParkScan(w *Warp, pos int, at int64) {
 	w.wake = at
 	sm.ring.clear(pos)
@@ -396,163 +396,63 @@ func (sm *SM) issueCycleIndexed() int {
 
 // visitActive examines the warp at active position pos — the indexed
 // equivalent of one iteration of the linear scan's loop body, returning
-// (issued delta, removed delta). Every branch either acts exactly as the
-// linear scan does, or parks/keeps the warp so that the passes the index
-// skips are provably the passes on which the linear scan would have
-// re-derived the same block and skipped the warp anyway:
+// (issued delta, removed delta). decide makes the same decision the linear
+// scan makes; visitActive only turns its verdict into ring transitions, so
+// that the passes the index skips are provably the passes on which the
+// linear scan would have re-derived the same block and skipped the warp:
 //
-//   - readyAt in the future (prefetch stall, activation refetch): fixed
-//     wake time, park until it — the linear scan's readyAt guard skips
-//     the warp on every intervening pass;
-//   - scoreboard block without a deactivation decision: the warp's own
-//     scoreboard only changes when IT issues, so the arrival time is
-//     fixed — park until it (this is PR 5's "permanent refusal" argument,
-//     now applied to the scan itself);
-//   - scoreboard block whose deactivation hinges on hasEarlierCandidate:
-//     the inactive pool can change on any non-idle pass (another warp
-//     deactivating), so the warp STAYS ARMED and is re-examined every
-//     pass, exactly like the linear scan;
-//   - collector starvation: free times only move later (a claim needs a
-//     free collector, and none is free while anyone starves), so the
-//     pass's nextCollectorFree is exact until it arrives — park until it;
-//   - issue / barrier / finish / deactivation: identical actions, plus
-//     the corresponding ring transition (wheel offset 1, or dropping the
-//     position).
+//   - vWait (prefetch or activation stall, permanent scoreboard refusal,
+//     collector starvation): the wake cycle is fixed — a stall's by
+//     construction, a refusal's because the warp's own scoreboard only
+//     changes when it issues, and a collector's because free times only
+//     move later while anyone starves — so park until it;
+//   - vWatch: the inactive pool can change on any non-idle pass (another
+//     warp deactivating), an event the index cannot see, so the warp STAYS
+//     ARMED and is re-examined every pass, exactly like the linear scan;
+//   - vLeave / vDeactivate: drop the position;
+//   - vIssue: re-examinable at cycle+1 (wheel offset 1), or later after
+//     the lookahead below.
 func (sm *SM) visitActive(pos int, now int64) (issued, removed int) {
-	wid := sm.active[pos]
-	w := sm.warps[wid]
+	w := sm.warps[sm.active[pos]]
 	if w.state != stateActive {
 		// Unreachable by invariant (bits are cleared when a warp leaves
 		// the active state); mirror the linear scan's skip defensively.
 		sm.ring.clear(pos)
 		return 0, 0
 	}
-	if w.readyAt > now {
-		sm.ringParkScan(w, pos, w.readyAt)
+	switch v, at := sm.decide(w, now); v {
+	case vWait:
+		sm.ringParkScan(w, pos, at)
 		return 0, 0
-	}
-	in := &sm.prog.Instrs[w.pc]
-	m := &sm.meta[w.pc]
-
-	// PREFETCH at unit boundary.
-	if sm.part != nil {
-		if uid := sm.part.UnitID(w.pc); uid != w.Regs.CurUnit {
-			stall := sm.rf.OnUnitEnter(sm.cycle, w.Regs, uid, sm.part.Units[uid].WorkingSet)
-			if stall <= sm.cycle {
-				stall = sm.cycle + 1
-			}
-			sm.st.PrefetchStallCycles += stall - sm.cycle
-			w.readyAt = stall
-			sm.ringParkScan(w, pos, stall)
-			return 0, 0
-		}
-	}
-
-	// Scoreboard (see issueCycleScan for the two-level scheduling rules).
-	// sbOK skips the re-evaluation on wake: the warp has not issued since
-	// the evaluation that parked it, so its scoreboard is frozen and the
-	// stored verdict ("satisfied from the park's wake cycle on") is
-	// exactly what the linear scan would re-derive here. Watch warps
-	// (deactivation pending a pool candidate) never set it — their
-	// per-pass re-evaluation is load-bearing, because blockedOnLoad is
-	// relative to the current cycle.
-	if !w.sbOK {
-		if ready, onLoad := w.operandsReadyAt(m, sm.cycle); ready > sm.cycle {
-			if sm.twoLevel() && onLoad && ready-sm.cycle >= sm.cfg.DeactivateThreshold {
-				if sm.hasEarlierCandidate(ready) {
-					sm.ring.clear(pos)
-					sm.deactivate(w, ready)
-					return 0, 1
-				}
-				// Deactivation hinges on an earlier candidate appearing
-				// in the pool — an event the index cannot see — so this
-				// warp stays armed and is re-examined every pass until
-				// its operands arrive, exactly as the linear scan does.
-				sm.wakeAt(ready)
-				return 0, 0
-			}
-			// Permanent refusal (PR 5): the warp can neither issue nor
-			// deactivate before `ready`, and its own scoreboard cannot
-			// change while it is blocked — park until the arrival.
-			w.readyAt = ready
-			w.sbOK = true
-			sm.ringParkScan(w, pos, ready)
-			return 0, 0
-		}
-		w.sbOK = true
-	}
-
-	// Structural hazard: operand collector. collMin != 0 means a warp
-	// already starved this pass: every collector was busy at this cycle
-	// and claims only occupy more, so this warp starves too — park at the
-	// same horizon without rescanning (freeCollector would return -1, as
-	// it does for every later starved warp in the linear scan's pass).
-	col := -1
-	if m.nsrc > 0 {
-		if sm.collMin != 0 {
-			sm.ringParkScan(w, pos, sm.collMin)
-			return 0, 0
-		}
-		if col = sm.freeCollector(); col == -1 {
-			sm.collMin = sm.nextCollectorFree()
-			// No collector frees before collMin (claims need a free one),
-			// and this warp's scoreboard stays satisfied — park until the
-			// first collector frees, where rotation order re-arbitrates.
-			sm.ringParkScan(w, pos, sm.collMin)
-			return 0, 0
-		}
-	}
-
-	// Barrier.
-	if in.Op == isa.OpBar {
-		w.advance(in, m)
-		w.retired++
-		sm.instrs++
-		sm.st.CtrlOps++
-		w.state = stateBarrier
-		w.sbOK = false
-		sm.ctaBarrier[w.cta]++
+	case vWatch:
+		sm.wakeAt(at)
+		return 0, 0
+	case vLeave:
 		sm.ring.clear(pos)
-		sm.maybeReleaseBarrier(int(w.cta))
 		return 1, 1
-	}
-
-	sm.issueInstr(w, in, m, col)
-	w.sbOK = false
-	if w.state == stateFinished {
-		sm.finished++
-		sm.ctaFin[w.cta]++
-		w.Regs.Reset(sm.cfg.RegsPerInterval)
+	case vDeactivate:
 		sm.ring.clear(pos)
-		sm.maybeReleaseBarrier(int(w.cta))
-		return 1, 1
+		return 0, 1
 	}
 
 	// Issued: readyAt is now cycle+1. The warp's NEXT instruction's
 	// scoreboard verdict is already decided — its own registers cannot
 	// change until it issues again — so evaluate it here and, when the
-	// verdict is a permanent refusal (blocked past cycle+1 with no
-	// deactivation decision pending), park straight to the arrival and
+	// verdict is a permanent refusal, park straight to the arrival and
 	// skip the intermediate visit at cycle+1 outright. The skipped visit
 	// is provably the one that would have re-derived this verdict and
 	// parked anyway; its wakeAt contribution only matters on idle passes,
 	// where the wheel/heap minima supply the same value. Instructions at a
-	// prefetch-unit boundary and potential deactivations (whose
-	// hasEarlierCandidate test must read the pool at cycle+1) fall back to
-	// a normal visit.
+	// prefetch-unit boundary and watch verdicts (whose pool test must read
+	// the pool at cycle+1) fall back to a normal visit.
 	wake := now + 1
 	if sm.part == nil || sm.part.UnitID(w.pc) == w.Regs.CurUnit {
-		m2 := &sm.meta[w.pc]
-		if ready, onLoad := w.operandsReadyAt(m2, now+1); ready > now+1 {
-			if !(onLoad && ready-(now+1) >= sm.cfg.DeactivateThreshold && sm.twoLevel()) {
+		if ready, watch := sm.scoreboard(w, wake); !watch {
+			w.sbOK = true
+			if ready > wake {
 				w.readyAt = ready
-				w.sbOK = true
 				wake = ready
 			}
-		} else {
-			// Satisfied at cycle+1: record it so the visit there goes
-			// straight to the structural checks.
-			w.sbOK = true
 		}
 	}
 	w.wake = wake

@@ -2,8 +2,9 @@ package sim
 
 // Correctness suite for the indexed issue scan's readyRing (ring.go). The
 // end-to-end equivalence against the linear scan lives in
-// equivalence_test.go (the cross-product pins ForceCycleAccurate as the
-// reference) and FuzzIndexedScanEquivalence below; this file checks the
+// equivalence_test.go (the cross-product sets the unexported
+// Config.reference hook for the reference run) and
+// FuzzIndexedScanEquivalence below; this file checks the
 // ring's own membership invariant differentially against a direct model,
 // under the exact operation mix the SM performs: mid-scan parks (wheel and
 // heap), clock advances of every span, activations appending positions,
@@ -293,8 +294,8 @@ func smemDoubleBufKernel(trips, tile int) *isa.Program {
 
 // FuzzIndexedScanEquivalence fuzzes simulator configurations and kernel
 // shapes and asserts the indexed issue scan (plus the event-driven clock)
-// produces Stats deeply equal to the ForceCycleAccurate reference — the
-// linear scan ticking one cycle at a time. The kernel set spans the event
+// produces Stats deeply equal to the reference stack (Config.reference) —
+// the linear scan ticking one cycle at a time. The kernel set spans the event
 // schedules the ring must replay exactly: pure compute (collector
 // starvation), streaming loads (scoreboard parks, two-level
 // deactivation/activation), tiled loops (mixed), barriers (park/unpark
@@ -343,12 +344,12 @@ func FuzzIndexedScanEquivalence(f *testing.F) {
 			prog = smemDoubleBufKernel(p1/16+2, p2)
 		}
 
-		c.ForceCycleAccurate = false
+		c.reference = false
 		ff, err := Run(c, prog)
 		if err != nil {
 			t.Skip() // config rejected by a deeper layer: nothing to compare
 		}
-		c.ForceCycleAccurate = true
+		c.reference = true
 		ca, err := Run(c, prog)
 		if err != nil {
 			t.Fatalf("reference run failed where indexed run succeeded: %v", err)

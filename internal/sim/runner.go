@@ -180,21 +180,8 @@ func RunWithCacheCtx(ctx context.Context, c Config, virtual *isa.Program, cc *Co
 		return nil, err
 	}
 
-	// Table 3: the simulated system uses the two-level scheduler [19, 53]
-	// for every design, including the BL baseline. SchedFlat (or the legacy
-	// FlatScheduler flag) makes all resident warps schedulable; SchedStatic
-	// keeps the active/pending split but disables latency-driven swaps
-	// (resolved inside the SM via Config.SchedulerMode).
 	warps := info.Warps
-	activeCap := c.ActiveWarps
-	if c.SchedulerMode() == SchedFlat {
-		activeCap = warps
-	}
-	if activeCap > warps {
-		activeCap = warps
-	}
-
-	sm := newSM(&c, info.Prog, info.Part, rf, mem, warps, activeCap, 0)
+	sm := newSM(&c, info.Prog, info.Part, rf, mem, warps, 0)
 	sm.attachContext(ctx)
 	st, err := sm.run()
 	if err != nil {

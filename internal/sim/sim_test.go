@@ -343,7 +343,7 @@ func TestFlatSchedulerAblation(t *testing.T) {
 	p := streamKernel(12, 20)
 	two := run(t, cfgAt(DesignLTRF, 2.0), p)
 	c := cfgAt(DesignLTRF, 2.0)
-	c.FlatScheduler = true
+	c.Scheduler = SchedFlat
 	flat := run(t, c, p)
 	if flat.Deactivations != 0 {
 		t.Errorf("flat scheduler must not deactivate warps, got %d", flat.Deactivations)
@@ -376,6 +376,10 @@ func TestConfigValidation(t *testing.T) {
 	c.RegsPerInterval = 2
 	if _, err := Run(c, streamKernel(8, 4)); err == nil {
 		t.Error("tiny interval budget must be rejected")
+	}
+	c.RegsPerInterval = isa.MaxArchRegs + 1
+	if err := c.Validate(); err == nil {
+		t.Error("interval budget above the architectural register count must be rejected")
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"ltrf/internal/core"
 	"ltrf/internal/isa"
@@ -36,7 +35,7 @@ type Stats struct {
 	// IdleCycles counts cycles in which the SM did nothing at all: no warp
 	// issued, activated, deactivated, or entered a prefetch stall — the dead
 	// spans the event-driven clock fast-forwards across. It accumulates
-	// identically under fast-forward and Config.ForceCycleAccurate (the
+	// identically under fast-forward and the one-cycle reference clock (the
 	// equivalence property asserts it), and Cycles always includes it, so
 	// per-cycle quantities (IPC, chip leakage) are mode-independent.
 	IdleCycles int64
@@ -81,8 +80,6 @@ type Stats struct {
 	// full-budget sample (it is identical under both clock modes; the
 	// equivalence property covers it).
 	Truncated bool
-
-	deactByPC map[int]int64 // diagnostic: deactivations per blocking PC
 }
 
 // ChipEvents bridges the simulator's counters to the chip-level energy
@@ -124,7 +121,7 @@ type SM struct {
 	rr     int
 
 	// nextWake is the earliest future cycle at which any currently-blocked
-	// active warp can make progress, maintained by issueCycle as it scans
+	// active warp can make progress, maintained by the indexed scan
 	// (readyAt stalls, scoreboard arrival times, collector frees). After an
 	// idle pass it is exact — nothing can happen before it — and becomes the
 	// event-driven clock's jump target (nextEventCycle).
@@ -140,10 +137,10 @@ type SM struct {
 
 	// indexed selects the indexed issue scan (ring.go): passes walk only
 	// warps that can plausibly act instead of the whole active set. It is
-	// pinned off — along with the event-driven clock — by
-	// Config.ForceCycleAccurate, which thereby preserves the historical
-	// linear scan (issueCycleScan) as the reference the equivalence and
-	// differential suites compare against.
+	// pinned off — along with the event-driven clock — by the unexported
+	// Config.reference hook, which keeps the linear scan (issueCycleScan)
+	// as the reference the equivalence and differential suites compare
+	// against.
 	indexed bool
 	ring    readyRing
 
@@ -220,13 +217,21 @@ func (sm *SM) cancelErr() error {
 // newSM wires an SM together. nWarps warps all start inactive and ready.
 // warpIDBase offsets global warp identities so that SMs of a multi-SM GPU
 // generate distinct memory address streams (grid-style work distribution).
-func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subsystem, mem *memsys.Hierarchy, nWarps, activeCap, warpIDBase int) *SM {
+func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subsystem, mem *memsys.Hierarchy, nWarps, warpIDBase int) *SM {
 	meta, slots := buildInstrMeta(prog)
+	// Table 3: the two-level scheduler [19, 53] runs for every design,
+	// including the BL baseline. SchedFlat makes all resident warps
+	// schedulable; SchedStatic keeps the active/pending split but never
+	// swaps on latency (deactOn).
+	activeCap := cfg.ActiveWarps
+	if cfg.SchedulerMode() == SchedFlat || activeCap > nWarps {
+		activeCap = nWarps
+	}
 	sm := &SM{
 		cfg: cfg, prog: prog, meta: meta, part: part, rf: rf, mem: mem,
 		activeCap:  activeCap,
 		collectors: make([]int64, cfg.Collectors),
-		indexed:    !cfg.ForceCycleAccurate,
+		indexed:    !cfg.reference,
 		deactOn:    cfg.SchedulerMode() == SchedTwoLevel && activeCap < nWarps,
 	}
 	nregs := prog.RegCount()
@@ -276,10 +281,10 @@ func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subs
 // jumps straight to the next cycle at which anything can change instead of
 // ticking through the dead span one cycle at a time — with observably
 // identical results (see pass/nextEventCycle/advanceTo for why, and the
-// equivalence property suite for proof). Config.ForceCycleAccurate pins the
-// historical one-cycle-per-pass clock.
+// equivalence property suite for proof). The unexported Config.reference
+// hook pins the one-cycle-per-pass reference clock.
 func (sm *SM) run() (Stats, error) {
-	fastForward := !sm.cfg.ForceCycleAccurate
+	fastForward := !sm.cfg.reference
 	for sm.runnable() {
 		if sm.cancelled() {
 			return sm.st, sm.cancelErr()
@@ -298,18 +303,6 @@ func (sm *SM) run() (Stats, error) {
 // exhausted and at least one warp unfinished.
 func (sm *SM) runnable() bool {
 	return sm.cycle < sm.cfg.MaxCycles && sm.instrs < sm.cfg.MaxInstrs && !sm.allFinished()
-}
-
-// step advances the SM by one cycle, returning false when the kernel has
-// finished or a budget is exhausted — the cycle-accurate unit of progress
-// (ForceCycleAccurate's run loop, and the GPU top level's lockstep, which
-// interleaves several SMs' shared-L2/DRAM contention in time order).
-func (sm *SM) step() bool {
-	if !sm.runnable() {
-		return false
-	}
-	sm.advanceTo(sm.cycle+1, sm.pass())
-	return true
 }
 
 // pass runs one issue pass (active-set refill + issue scan) at the current
@@ -459,10 +452,12 @@ func (sm *SM) refillActive() {
 
 // issueCycle issues up to IssueWidth instructions from the active warps
 // under greedy-then-oldest round-robin arbitration, returning the issue
-// count. The indexed scan (ring.go) walks only warps that can plausibly
-// act; Config.ForceCycleAccurate pins the historical linear scan, which the
-// equivalence suite holds up as the reference for both the clock and the
-// index.
+// count. Both scans visit warps in the same order and let decide make each
+// warp's issue decision; they differ only in which warps they visit. The
+// indexed scan (ring.go) walks only warps that can plausibly act; the
+// linear scan, selected by the unexported Config.reference hook, visits
+// every active warp and is the reference the equivalence suite holds both
+// the clock and the index to.
 func (sm *SM) issueCycle() int {
 	if sm.indexed {
 		return sm.issueCycleIndexed()
@@ -471,14 +466,11 @@ func (sm *SM) issueCycle() int {
 }
 
 // issueCycleScan is the linear reference scan: every active warp is
-// examined round-robin until IssueWidth instructions issue. Warps blocked
-// on a long-latency operand are descheduled (two-level scheduling); warps
-// at prefetch-unit boundaries execute their PREFETCH instead of issuing.
-// Along the way it maintains nextWake — the minimum over every blocked
-// warp's wakeup time — which costs a comparison per blocked warp here and
-// saves the event-driven clock a second scan.
+// examined round-robin until IssueWidth instructions issue, and warps that
+// left the active set are compacted out at the end. It runs only under the
+// one-cycle reference clock, which never reads nextWake, so blocked warps'
+// wake cycles need no bookkeeping here.
 func (sm *SM) issueCycleScan() int {
-	sm.nextWake = int64(math.MaxInt64)
 	sm.collMin = 0
 	n := len(sm.active)
 	if n == 0 {
@@ -486,118 +478,24 @@ func (sm *SM) issueCycleScan() int {
 	}
 	issued := 0
 	removed := 0 // active entries whose warp left stateActive this cycle
-
-	// Hot loop: the wrapping index replaces a modulo per warp, and the
-	// hoisted clock/width save pointer dereferences per iteration — this
-	// scan runs once per pass over every active warp that cannot issue.
 	now := sm.cycle
-	width := sm.cfg.IssueWidth
 	idx := sm.rr % n
-	for k := 0; k < n && issued < width; k++ {
-		wid := sm.active[idx]
-		idx++
-		if idx == n {
+	for k := 0; k < n && issued < sm.cfg.IssueWidth; k++ {
+		w := sm.warps[sm.active[idx]]
+		if idx++; idx == n {
 			idx = 0
 		}
-		w := sm.warps[wid]
 		if w.state != stateActive {
 			continue
 		}
-		if w.readyAt > now {
-			sm.wakeAt(w.readyAt)
-			continue
-		}
-		in := &sm.prog.Instrs[w.pc]
-		m := &sm.meta[w.pc]
-
-		// PREFETCH at unit boundary.
-		if sm.part != nil {
-			if uid := sm.part.UnitID(w.pc); uid != w.Regs.CurUnit {
-				stall := sm.rf.OnUnitEnter(sm.cycle, w.Regs, uid, sm.part.Units[uid].WorkingSet)
-				if stall <= sm.cycle {
-					stall = sm.cycle + 1
-				}
-				sm.st.PrefetchStallCycles += stall - sm.cycle
-				w.readyAt = stall
-				continue
-			}
-		}
-
-		// Scoreboard. A warp blocked on a load result for longer than the
-		// threshold (i.e. a data-cache miss, not an L1 hit or ALU chain)
-		// is descheduled by the two-level scheduler — but only when some
-		// inactive warp could make use of the slot sooner, so eagerly
-		// activated warps are not bounced straight back (swap churn).
-		if ready, onLoad := w.operandsReadyAt(m, sm.cycle); ready > sm.cycle {
-			if sm.twoLevel() && onLoad && ready-sm.cycle >= sm.cfg.DeactivateThreshold {
-				if sm.hasEarlierCandidate(ready) {
-					sm.deactivate(w, ready)
-					removed++
-				} else {
-					// Deactivation hinges on an earlier candidate appearing
-					// in the pool (another warp deactivating), so this warp
-					// must be re-examined every pass until its operands
-					// arrive.
-					sm.wakeAt(ready)
-				}
-			} else {
-				// The refusal is permanent: the gap to the deactivation
-				// threshold only shrinks as the clock advances, and a
-				// pending load dependency only clears — so the warp cannot
-				// issue OR deactivate before `ready`. Park it (readyAt is
-				// exactly the scoreboard arrival) so each blocking episode
-				// costs one scoreboard evaluation instead of one per pass.
-				// Scan outcomes are identical: a parked warp is skipped by
-				// the readyAt guard precisely on the passes that would have
-				// re-derived this same `ready` and skipped it anyway.
-				w.readyAt = ready
-				sm.wakeAt(ready)
-			}
-			continue
-		}
-
-		// Structural hazard: instructions with register sources need a
-		// free operand collector; the claimed index is handed to issueInstr
-		// so it is not searched for twice.
-		col := -1
-		if m.nsrc > 0 {
-			if col = sm.freeCollector(); col == -1 {
-				// collMin caches the earliest collector-free time for the
-				// rest of the pass: several starved warps share one scan.
-				// Claims made later in the pass can lower the true minimum,
-				// but any claim makes the pass non-idle, and nextWake is
-				// only consumed after idle passes — so the cached value is
-				// exact whenever it is used.
-				if sm.collMin == 0 {
-					sm.collMin = sm.nextCollectorFree()
-				}
-				sm.wakeAt(sm.collMin)
-				continue
-			}
-		}
-
-		// Barrier.
-		if in.Op == isa.OpBar {
-			w.advance(in, m)
-			w.retired++
-			sm.instrs++
-			sm.st.CtrlOps++
-			w.state = stateBarrier
-			sm.ctaBarrier[w.cta]++
-			removed++
-			sm.maybeReleaseBarrier(int(w.cta))
+		switch v, _ := sm.decide(w, now); v {
+		case vIssue:
 			issued++
-			continue
-		}
-
-		sm.issueInstr(w, in, m, col)
-		issued++
-		if w.state == stateFinished {
-			sm.finished++
-			sm.ctaFin[w.cta]++
-			w.Regs.Reset(sm.cfg.RegsPerInterval)
+		case vLeave:
+			issued++
 			removed++
-			sm.maybeReleaseBarrier(int(w.cta))
+		case vDeactivate:
+			removed++
 		}
 	}
 
@@ -619,6 +517,169 @@ func (sm *SM) issueCycleScan() int {
 	return issued
 }
 
+// verdict is decide's outcome for one active warp at one issue slot.
+type verdict uint8
+
+const (
+	// vWait: the warp cannot act before the returned cycle — a PREFETCH or
+	// activation stall, a permanent scoreboard refusal, or a busy operand
+	// collector — and nothing another warp does this pass changes that.
+	vWait verdict = iota
+	// vWatch: blocked on a long-latency load until the returned cycle, but
+	// deactivation hinges on an earlier candidate appearing in the inactive
+	// pool (another warp deactivating), so the warp must be re-examined
+	// every pass until its operands arrive.
+	vWatch
+	// vIssue: the warp issued and stays active.
+	vIssue
+	// vLeave: the warp issued a barrier arrival or its last instruction and
+	// left the active set.
+	vLeave
+	// vDeactivate: the two-level scheduler swapped the warp out; it left
+	// the active set without issuing.
+	vDeactivate
+)
+
+// decide makes the per-warp issue decision at cycle now and carries it
+// out: at a prefetch-unit boundary the warp executes its PREFETCH (§4.2);
+// on a long-latency operand the two-level scheduler deactivates it (§3.2,
+// §4); otherwise it waits for its operands and an operand collector, then
+// arrives at a barrier or issues. The returned cycle is the wake time of
+// vWait and vWatch verdicts.
+//
+// sbOK skips the scoreboard on a later visit: it is set once the warp's
+// scoreboard is known satisfied from its wake cycle on, and the warp's own
+// scoreboard changes only when it issues. Watch warps never set it — their
+// per-pass re-evaluation is load-bearing, because whether a dependency is
+// still a pending load depends on the current cycle.
+func (sm *SM) decide(w *Warp, now int64) (verdict, int64) {
+	if w.readyAt > now {
+		return vWait, w.readyAt
+	}
+	m := &sm.meta[w.pc]
+
+	// PREFETCH at unit boundary.
+	if sm.part != nil {
+		if uid := sm.part.UnitID(w.pc); uid != w.Regs.CurUnit {
+			stall := sm.rf.OnUnitEnter(now, w.Regs, uid, sm.part.Units[uid].WorkingSet)
+			if stall <= now {
+				stall = now + 1
+			}
+			sm.st.PrefetchStallCycles += stall - now
+			w.readyAt = stall
+			return vWait, stall
+		}
+	}
+
+	// Scoreboard. A warp blocked on a load result for longer than the
+	// threshold (i.e. a data-cache miss, not an L1 hit or ALU chain) is
+	// descheduled by the two-level scheduler — but only when some inactive
+	// warp could make use of the slot sooner, so eagerly activated warps
+	// are not bounced straight back (swap churn).
+	if !w.sbOK {
+		ready, watch := sm.scoreboard(w, now)
+		if ready > now {
+			if !watch {
+				// Permanent refusal: park until the arrival (readyAt), so
+				// each blocking episode costs one scoreboard evaluation
+				// instead of one per pass.
+				w.readyAt = ready
+				w.sbOK = true
+				return vWait, ready
+			}
+			if !sm.wake.earlier(ready) {
+				return vWatch, ready
+			}
+			w.state = stateInactive
+			w.blockedUntil = ready
+			sm.rf.OnDeactivate(now, w.Regs)
+			sm.wake.push(w.local, ready)
+			sm.st.Deactivations++
+			return vDeactivate, ready
+		}
+		w.sbOK = true
+	}
+
+	// Structural hazard: instructions with register sources need a free
+	// operand collector. collMin caches the earliest collector-free time
+	// for the rest of the pass: once a warp starves, every collector is
+	// busy at this cycle and claims only occupy more, so every later warp
+	// with sources starves until collMin too.
+	col := -1
+	if m.nsrc > 0 {
+		if sm.collMin != 0 {
+			return vWait, sm.collMin
+		}
+		for i, busy := range sm.collectors {
+			if busy <= now {
+				col = i
+				break
+			}
+		}
+		if col == -1 {
+			sm.collMin = sm.nextCollectorFree()
+			return vWait, sm.collMin
+		}
+	}
+
+	in := &sm.prog.Instrs[w.pc]
+	w.sbOK = false
+	if in.Op == isa.OpBar {
+		w.advance(in, m)
+		w.retired++
+		sm.instrs++
+		sm.st.CtrlOps++
+		w.state = stateBarrier
+		sm.ctaBarrier[w.cta]++
+		sm.maybeReleaseBarrier(int(w.cta))
+		return vLeave, now
+	}
+
+	sm.issueInstr(w, in, m, col)
+	if w.state == stateFinished {
+		sm.finished++
+		sm.ctaFin[w.cta]++
+		w.Regs.Reset(sm.cfg.RegsPerInterval)
+		sm.maybeReleaseBarrier(int(w.cta))
+		return vLeave, now
+	}
+	return vIssue, now
+}
+
+// scoreboard evaluates the warp's scoreboard for its next instruction at
+// cycle t: ready is when every dependency (sources plus WAW on the
+// destination) is satisfied, <= t when it is now. watch marks a block the
+// two-level scheduler may resolve by deactivation: a pending load result
+// ("Whenever a warp encounters a long latency operation, such as a data
+// cache miss", §3.2) at least DeactivateThreshold cycles out. Any other
+// block is a permanent refusal — the gap to the threshold only shrinks as
+// the clock advances and a pending load dependency only clears, so the
+// warp can neither issue nor deactivate before ready.
+func (sm *SM) scoreboard(w *Warp, t int64) (ready int64, watch bool) {
+	m := &sm.meta[w.pc]
+	onLoad := false
+	for s := 0; s < int(m.nsrc); s++ {
+		r := m.srcs[s]
+		rt := w.regReady[r]
+		if rt > ready {
+			ready = rt
+		}
+		if rt > t && w.loadDest[r] {
+			onLoad = true
+		}
+	}
+	if m.writes {
+		rt := w.regReady[m.dst]
+		if rt > ready {
+			ready = rt
+		}
+		if rt > t && w.loadDest[m.dst] {
+			onLoad = true
+		}
+	}
+	return ready, ready > t && onLoad && sm.deactOn && ready-t >= sm.cfg.DeactivateThreshold
+}
+
 // wakeAt records a future cycle at which a currently-blocked warp can make
 // progress; the minimum over one pass is the event-driven clock's horizon.
 func (sm *SM) wakeAt(t int64) {
@@ -627,27 +688,9 @@ func (sm *SM) wakeAt(t int64) {
 	}
 }
 
-// twoLevel reports whether the scheduler swaps blocked warps out. False
-// under SchedFlat (no inactive pool) and SchedStatic (slots recycle only on
-// finish or barrier park, never on operand latency).
-func (sm *SM) twoLevel() bool {
-	return sm.deactOn
-}
-
-// freeCollector returns the index of an operand collector free at the
-// current cycle, or -1.
-func (sm *SM) freeCollector() int {
-	for i, busy := range sm.collectors {
-		if busy <= sm.cycle {
-			return i
-		}
-	}
-	return -1
-}
-
 // nextCollectorFree returns the earliest cycle any operand collector frees
-// up; callers use it only after freeCollector failed, so every entry is in
-// the future.
+// up; callers use it only after every collector was found busy, so every
+// entry is in the future.
 func (sm *SM) nextCollectorFree() int64 {
 	t := sm.collectors[0]
 	for _, busy := range sm.collectors[1:] {
@@ -656,27 +699,6 @@ func (sm *SM) nextCollectorFree() int64 {
 		}
 	}
 	return t
-}
-
-// hasEarlierCandidate reports whether some inactive warp will be ready to
-// issue before `ready` — i.e. swapping the blocked warp out would buy time.
-// O(1) off the wakeQueue roots.
-func (sm *SM) hasEarlierCandidate(ready int64) bool {
-	return sm.wake.earlier(ready)
-}
-
-func (sm *SM) deactivate(w *Warp, blockedUntil int64) {
-	w.state = stateInactive
-	w.blockedUntil = blockedUntil
-	sm.rf.OnDeactivate(sm.cycle, w.Regs)
-	sm.wake.push(w.local, blockedUntil)
-	sm.st.Deactivations++
-	if sm.cfg.TrackDeactPCs {
-		if sm.st.deactByPC == nil {
-			sm.st.deactByPC = map[int]int64{}
-		}
-		sm.st.deactByPC[w.pc]++
-	}
 }
 
 // removeActive compacts the active list, dropping every warp that left

@@ -49,9 +49,9 @@ type Warp struct {
 	// current pc from cycle `wake` on: set when a scoreboard evaluation
 	// passes (or blocks with a fixed arrival the warp is parked until),
 	// cleared whenever the warp issues (its own writes and pc advance are
-	// the only things that change its scoreboard). Lets the indexed scan
-	// skip re-evaluating operandsReadyAt on wake — the evaluation the
-	// linear scan would run there is provably the one already done.
+	// the only things that change its scoreboard). Lets SM.decide skip
+	// re-evaluating the scoreboard on wake — the evaluation it would run
+	// there is provably the one already done.
 	sbOK bool
 }
 
@@ -77,39 +77,6 @@ func (w *Warp) rand01() float64 {
 	w.rng ^= w.rng << 25
 	w.rng ^= w.rng >> 27
 	return float64((w.rng*0x2545F4914F6CDD1D)>>11) / float64(1<<53)
-}
-
-// operandsReadyAt returns the cycle at which all of the instruction's
-// scoreboard dependencies (sources plus WAW on the destination) are
-// satisfied, and whether any still-pending dependency was produced by a
-// memory load (the two-level scheduler's descheduling trigger: "Whenever a
-// warp encounters a long latency operation, such as a data cache miss",
-// §3.2).
-func (w *Warp) operandsReadyAt(m *instrMeta, now int64) (ready int64, blockedOnLoad bool) {
-	// Open-coded over the precomputed metadata (compacted valid sources, a
-	// resolved WAW flag) — this runs for every issuing instruction and
-	// every blocked warp's re-examination.
-	t := int64(0)
-	for s := 0; s < int(m.nsrc); s++ {
-		r := m.srcs[s]
-		rt := w.regReady[r]
-		if rt > t {
-			t = rt
-		}
-		if rt > now && w.loadDest[r] {
-			blockedOnLoad = true
-		}
-	}
-	if m.writes {
-		rt := w.regReady[m.dst]
-		if rt > t {
-			t = rt
-		}
-		if rt > now && w.loadDest[m.dst] {
-			blockedOnLoad = true
-		}
-	}
-	return t, blockedOnLoad
 }
 
 // advance moves the warp's PC past the instruction at pc, resolving

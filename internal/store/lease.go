@@ -20,9 +20,9 @@ import (
 // The protocol is deliberately primitive — no daemon, no network, just the
 // shared filesystem the store already requires:
 //
-//   - Acquire: O_EXCL creation of lease/<addr> wins the point. The file
-//     carries the owner's name and a deadline; creation, not content,
-//     arbitrates.
+//   - Acquire: exclusive creation of lease/<addr> (a hard link of a fully
+//     written temporary file) wins the point. The file carries the owner's
+//     name and a deadline; creation, not content, arbitrates.
 //   - Hold: the winner computes and publishes the entry (Put), then
 //     releases. The deadline is the winner's promise — publish before it or
 //     lose the claim.
@@ -30,7 +30,7 @@ import (
 //     the entry lands, re-attempting Acquire each round so a released or
 //     expired lease is picked up promptly.
 //   - Takeover: a lease whose deadline has passed is presumed crashed.
-//     Any waiter removes the stale file and re-runs the O_EXCL create;
+//     Any waiter removes the stale file and re-runs the exclusive create;
 //     the create arbitrates between concurrent takers exactly like a fresh
 //     acquisition.
 //
@@ -61,7 +61,7 @@ type Lease struct {
 }
 
 // leaseRecord is the lease file's JSON payload. It is forensic (who holds
-// this, until when) plus the takeover decision input; O_EXCL creation is
+// this, until when) plus the takeover decision input; exclusive creation is
 // what arbitrates ownership.
 type leaseRecord struct {
 	Owner    string    `json:"owner"`
@@ -96,20 +96,9 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*Lease, erro
 	// The retry bound only guards against pathological acquire/release churn
 	// on one key; every normal outcome exits the loop in one or two rounds.
 	for attempt := 0; attempt < 64; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		deadline := time.Now().Add(ttl)
+		err := s.createLease(path, leaseRecord{Owner: owner, Deadline: deadline})
 		if err == nil {
-			deadline := time.Now().Add(ttl)
-			data, merr := json.Marshal(leaseRecord{Owner: owner, Deadline: deadline})
-			if merr == nil {
-				_, merr = f.Write(data)
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("store: lease %s: %w", key, merr)
-			}
 			s.leasesAcquired.Add(1)
 			return &Lease{key: key, path: path, Owner: owner, Deadline: deadline}, nil
 		}
@@ -125,7 +114,7 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*Lease, erro
 			// deadline), so a crash mid-lease-write cannot wedge the key.
 		}
 		if time.Now().After(rec.Deadline) {
-			// Stale: remove and re-run the O_EXCL create. The create — not
+			// Stale: remove and re-run the exclusive create. The create — not
 			// this remove — arbitrates between concurrent takers; a failed
 			// remove (someone else got there first) is equivalent progress.
 			if err := os.Remove(path); err == nil {
@@ -138,6 +127,32 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*Lease, erro
 			key, rec.Owner, rec.Deadline.Format(time.RFC3339Nano), ErrLeaseHeld)
 	}
 	return nil, fmt.Errorf("store: lease %s: acquire/release churn exceeded retry bound: %w", key, ErrLeaseHeld)
+}
+
+// createLease publishes a complete lease file at path, failing with
+// fs.ErrExist when one is already there. The record is written to tmp/ and
+// hard-linked into place: link creation is exclusive like O_EXCL, and a
+// reader never sees a claimed lease without its deadline. (Creating the
+// file empty and writing it afterwards let a concurrent acquirer read the
+// empty file as a torn, stale lease and take a live claim over.)
+func (s *Store) createLease(path string, rec leaseRecord) error {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), "lease-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name())
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Link(f.Name(), path)
 }
 
 func readLease(path string) (leaseRecord, error) {

@@ -279,13 +279,6 @@ type SimOptions struct {
 	// results with (zero fields keep the defaults). Accounting only — it
 	// never changes timing.
 	Chip ChipConfig
-	// ForceCycleAccurate pins the simulator's reference stack: the
-	// one-cycle-per-pass clock instead of the event-driven fast-forward
-	// that skips cycles in which no warp can issue, and the linear issue
-	// scan instead of the indexed ready-warp scan. Results are identical
-	// either way (the equivalence property suite asserts it); the flag
-	// exists for cycle-by-cycle debugging and for measuring the speedup.
-	ForceCycleAccurate bool
 }
 
 // SimResult is a simulation outcome.
@@ -326,7 +319,6 @@ func (o SimOptions) config() (sim.Config, error) {
 		c.MaxCycles = o.MaxInstrs * 12
 	}
 	c.Chip = o.Chip
-	c.ForceCycleAccurate = o.ForceCycleAccurate
 	return c, nil
 }
 
