@@ -164,7 +164,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // design point (Table 2 config #7) with a 6.3x latency multiplier, where
 // warps stall for hundreds of cycles on every slow main-RF read and most
 // simulated cycles are dead. PR 5's fast-forward core is >=3x faster here
-// than the cycle-ticking loop it replaced (see BENCH_PR5.json).
+// than the cycle-ticking loop it replaced (see the repository README's
+// event-driven core section).
 func BenchmarkSimulatorThroughputHighLatency(b *testing.B) {
 	benchThroughput(b, ltrf.SimOptions{Design: ltrf.BL, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 30000}, "sgemm")
 }
@@ -182,8 +183,7 @@ func BenchmarkSimulatorThroughputLowLatency(b *testing.B) {
 
 // benchThroughput measures simulation throughput with the kernel compiled
 // once through a SimCache, so the number is the simulator's and not the
-// compiler's (BenchmarkCompile and ltrf-bench's `compile` entry measure
-// that pipeline on its own).
+// compiler's (BenchmarkCompile measures that pipeline on its own).
 func benchThroughput(b *testing.B, o ltrf.SimOptions, workload string) {
 	b.Helper()
 	w, err := ltrf.WorkloadByName(workload)

@@ -12,14 +12,14 @@
 //	        fire the SAME grid sweep at all of them, reporting per-replica
 //	        time-to-first/last-result and the fleet duplicate-compute ratio:
 //	        ltrf-load -mode sweep -replicas 2 -points 8 -store /tmp/ltrf-store
-//	bench — run the PR 10 benchmark matrix (cold/warm × 1/2 replicas on a
-//	        shared store) and write a BENCH_PR10.json-shaped report:
-//	        ltrf-load -mode bench -points 100 -out BENCH_PR10.json
+//
+// It is a load and correctness driver, not a benchmark: the repository's
+// performance is measured by layerbench (bash layerbench/run.sh) and the
+// Go Benchmark* functions.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		mode    = flag.String("mode", "eval", "eval | sweep | bench")
+		mode    = flag.String("mode", "eval", "eval | sweep")
 		addr    = flag.String("addr", "http://localhost:8080", "server base URL (eval mode)")
 		n       = flag.Int("n", 64, "total requests (eval mode)")
 		workers = flag.Int("workers", 8, "concurrent workers (eval mode)")
@@ -45,12 +45,11 @@ func main() {
 		seed    = flag.Int64("seed", 1, "request stream seed")
 
 		replicas = flag.Int("replicas", 2, "in-process replicas sharing the store (sweep mode)")
-		points   = flag.Int("points", 8, "approximate grid size (sweep/bench modes)")
+		points   = flag.Int("points", 8, "approximate grid size (sweep mode)")
 		storeDir = flag.String("store", "", "shared store directory (sweep mode; default: temp dir)")
-		budget   = flag.Int64("budget", 2000, "per-point instruction budget (sweep/bench modes)")
+		budget   = flag.Int64("budget", 2000, "per-point instruction budget (sweep mode)")
 		nonce    = flag.Int64("nonce", 0, "budget offset forcing a cold grid (sweep mode; 0 = warm ok)")
 		requireD = flag.Bool("require-dup0", false, "exit non-zero unless duplicate-compute ratio is 0 (sweep mode)")
-		out      = flag.String("out", "BENCH_PR10.json", "report path (bench mode)")
 	)
 	flag.Parse()
 
@@ -63,8 +62,6 @@ func main() {
 		err = runEval(ctx, *addr, *n, *workers, *cancel, *unique, *quick, *seed)
 	case "sweep":
 		err = runSweep(ctx, *replicas, *points, *budget+*nonce, *storeDir, *requireD)
-	case "bench":
-		err = runBench(ctx, *points, *budget, *out)
 	default:
 		err = fmt.Errorf("unknown -mode %q", *mode)
 	}
@@ -181,117 +178,5 @@ func runSweep(ctx context.Context, replicas, points int, budget int64, dir strin
 		return fmt.Errorf("duplicate-compute ratio %.3f, want 0 (sims=%d grid=%d)",
 			st.DuplicateRatio, st.Sims, st.GridSize)
 	}
-	return nil
-}
-
-// benchReport is the BENCH_PR10.json schema: points/s for warm and cold
-// sweeps at 1 vs 2 replicas sharing one store. The cold two-replica case is
-// where the leases earn their keep — both replicas serve the full grid, the
-// computes split between them, so delivered-points/s should roughly double.
-type benchReport struct {
-	Points int   `json:"points"`
-	Budget int64 `json:"budget"`
-
-	Cold1PointsPerSec float64 `json:"cold_1r_points_per_sec"`
-	Cold2PointsPerSec float64 `json:"cold_2r_points_per_sec"`
-	Warm1PointsPerSec float64 `json:"warm_1r_points_per_sec"`
-	Warm2PointsPerSec float64 `json:"warm_2r_points_per_sec"`
-
-	ColdSpeedup2R     float64 `json:"cold_speedup_2r"`
-	Cold2RDupRatio    float64 `json:"cold_2r_duplicate_ratio"`
-	Cold1TTFRMS       float64 `json:"cold_1r_ttfr_ms"`
-	Cold2TTFRMS       float64 `json:"cold_2r_ttfr_ms"`
-	Warm2LeaseWaits   int64   `json:"warm_2r_lease_waits"`
-	Cold2LeasesSplit  []int64 `json:"cold_2r_leases_per_replica"`
-	Cold2SimsReplicas []int64 `json:"cold_2r_sims_per_replica"`
-}
-
-// benchCase runs one sweep configuration against a fresh fleet and returns
-// its stats. The store dir persists across cases via the caller.
-func benchCase(ctx context.Context, replicas, points int, budget int64, dir string) (*load.SweepStats, error) {
-	urls, shutdown, err := replicaFleet(replicas, dir)
-	if err != nil {
-		return nil, err
-	}
-	defer shutdown()
-	return load.RunSweep(ctx, load.SweepConfig{
-		BaseURLs: urls,
-		Body:     sweepBody(points, budget),
-	})
-}
-
-func runBench(ctx context.Context, points int, budget int64, out string) error {
-	rep := benchReport{Points: points, Budget: budget}
-
-	// Cold, 1 replica: fresh store, every point simulated.
-	dir1, err := os.MkdirTemp("", "ltrf-bench-1r-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir1)
-	cold1, err := benchCase(ctx, 1, points, budget, dir1)
-	if err != nil {
-		return err
-	}
-	fmt.Print("cold 1 replica: ", cold1)
-
-	// Cold, 2 replicas: fresh store, same sweep at both; leases split the
-	// computes so both replicas finish in about the single-replica wall.
-	dir2, err := os.MkdirTemp("", "ltrf-bench-2r-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir2)
-	cold2, err := benchCase(ctx, 2, points, budget, dir2)
-	if err != nil {
-		return err
-	}
-	fmt.Print("cold 2 replicas: ", cold2)
-
-	// Warm reruns against the now-populated stores: pure read path.
-	warm1, err := benchCase(ctx, 1, points, budget, dir1)
-	if err != nil {
-		return err
-	}
-	fmt.Print("warm 1 replica: ", warm1)
-	warm2, err := benchCase(ctx, 2, points, budget, dir2)
-	if err != nil {
-		return err
-	}
-	fmt.Print("warm 2 replicas: ", warm2)
-
-	rep.Cold1PointsPerSec = cold1.PointsPerSec
-	rep.Cold2PointsPerSec = cold2.PointsPerSec
-	rep.Warm1PointsPerSec = warm1.PointsPerSec
-	rep.Warm2PointsPerSec = warm2.PointsPerSec
-	if cold1.PointsPerSec > 0 {
-		rep.ColdSpeedup2R = cold2.PointsPerSec / cold1.PointsPerSec
-	}
-	rep.Cold2RDupRatio = cold2.DuplicateRatio
-	rep.Cold1TTFRMS = float64(cold1.Replicas[0].TTFR.Milliseconds())
-	if len(cold2.Replicas) > 0 {
-		rep.Cold2TTFRMS = float64(cold2.Replicas[0].TTFR.Milliseconds())
-	}
-	for _, m := range cold2.Meta {
-		rep.Cold2SimsReplicas = append(rep.Cold2SimsReplicas, m.Sims)
-		if m.Store != nil {
-			rep.Cold2LeasesSplit = append(rep.Cold2LeasesSplit, m.Store.LeasesAcquired)
-		}
-	}
-	for _, m := range warm2.Meta {
-		if m.Store != nil {
-			rep.Warm2LeaseWaits += m.Store.LeaseWaits
-		}
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (cold 2-replica speedup %.2fx, duplicate ratio %.3f)\n",
-		out, rep.ColdSpeedup2R, rep.Cold2RDupRatio)
 	return nil
 }

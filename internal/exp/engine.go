@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -74,8 +73,9 @@ func (p Point) config() (sim.Config, error) {
 	c := sim.DefaultConfig(p.Design)
 	c.Tech = tech
 	c.LatencyX = p.LatencyX
-	c.MaxInstrs = p.Budget
-	c.MaxCycles = p.Budget * cyclesPerInstr
+	if err := c.SetBudget(p.Budget); err != nil {
+		return sim.Config{}, err
+	}
 	if p.RegsPerInterval != 0 {
 		c.RegsPerInterval = p.RegsPerInterval
 	}
@@ -88,24 +88,12 @@ func (p Point) config() (sim.Config, error) {
 	return c, nil
 }
 
-// cyclesPerInstr is the hard cycle stop a point's simulation gets per
-// budgeted instruction.
-const cyclesPerInstr = 12
-
-// maxBudget is the largest instruction budget a Point accepts: the cycle
-// stop derived from it must fit in an int64.
-const maxBudget = math.MaxInt64 / cyclesPerInstr
-
 // Validate reports whether the point describes a simulation the engine can
-// run: the budget is in [1, maxBudget] — so the cycle stop config derives
-// cannot overflow — and the configuration it builds passes
-// sim.Config.Validate. Serving layers call it before admission, so a bad
-// point is a client error instead of a failed (and memoized) evaluation.
-// The workload name is the caller's to resolve.
+// run: the configuration it builds — budget included (sim.Config.SetBudget)
+// — passes sim.Config.Validate. Serving layers call it before admission, so
+// a bad point is a client error instead of a failed (and memoized)
+// evaluation. The workload name is the caller's to resolve.
 func (p Point) Validate() error {
-	if p.Budget < 1 || p.Budget > maxBudget {
-		return fmt.Errorf("budget %d outside [1, %d]", p.Budget, int64(maxBudget))
-	}
 	c, err := p.config()
 	if err != nil {
 		return err

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"ltrf/internal/regfile"
-	"ltrf/internal/sim"
 	"ltrf/internal/workloads"
 )
 
@@ -153,15 +152,6 @@ func (o Options) evalSet() ([]workloads.Workload, error) {
 		out = append(out, w)
 	}
 	return out, nil
-}
-
-// baseConfig returns the Table 3 system for a design with the experiment
-// budget applied.
-func (o Options) baseConfig(d sim.Design) sim.Config {
-	c := sim.DefaultConfig(d)
-	c.MaxInstrs = o.budget()
-	c.MaxCycles = c.MaxInstrs * 12
-	return c
 }
 
 // Spec describes a runnable experiment.

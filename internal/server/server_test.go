@@ -91,23 +91,28 @@ func TestEvalHappyPath(t *testing.T) {
 	}
 }
 
+// invalidEvalBodies are /v1/eval bodies the server must reject with 400
+// before admission; FuzzEvalRequest seeds its corpus with them.
+var invalidEvalBodies = []map[string]any{
+	{"design": "nosuch", "workload": "sgemm"},
+	{"design": "LTRF", "workload": "nosuch"},
+	{"design": "LTRF", "workload": "sgemm", "tech": 99},
+	{"design": "LTRF", "workload": "sgemm", "latency_x": -1},
+	{"design": "LTRF", "workload": "sgemm", "budget": -5},
+	{"design": "LTRF", "workload": "sgemm", "bogus_field": 1},
+	// Out of the simulator's range: interval budgets below its minimum
+	// or above the architectural register count, and a budget whose
+	// derived cycle stop (12 cycles per instruction) overflows int64.
+	{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 2},
+	{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 100_000_000},
+	{"design": "LTRF", "workload": "sgemm", "budget": 8e17},
+	// An active set larger than the SM's 64 resident warps.
+	{"design": "LTRF", "workload": "sgemm", "active_warps": 100_000},
+}
+
 func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	cases := []map[string]any{
-		{"design": "nosuch", "workload": "sgemm"},
-		{"design": "LTRF", "workload": "nosuch"},
-		{"design": "LTRF", "workload": "sgemm", "tech": 99},
-		{"design": "LTRF", "workload": "sgemm", "latency_x": -1},
-		{"design": "LTRF", "workload": "sgemm", "budget": -5},
-		{"design": "LTRF", "workload": "sgemm", "bogus_field": 1},
-		// Out of the simulator's range: interval budgets below its minimum
-		// or above the architectural register count, and a budget whose
-		// derived cycle stop (12 cycles per instruction) overflows int64.
-		{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 2},
-		{"design": "LTRF", "workload": "sgemm", "regs_per_interval": 100_000_000},
-		{"design": "LTRF", "workload": "sgemm", "budget": 8e17},
-	}
-	for _, c := range cases {
+	for _, c := range invalidEvalBodies {
 		code, m := post(t, ts.URL+"/v1/eval", c)
 		if code != http.StatusBadRequest {
 			t.Errorf("%v: status = %d (%v), want 400", c, code, m)

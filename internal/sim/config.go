@@ -192,6 +192,26 @@ func DefaultConfig(d Design) Config {
 	}
 }
 
+// cyclesPerInstr is the hard cycle stop a budgeted run gets per
+// instruction, and maxBudget the largest budget whose derived cycle stop
+// fits in an int64.
+const (
+	cyclesPerInstr = 12
+	maxBudget      = math.MaxInt64 / cyclesPerInstr
+)
+
+// SetBudget sets the dynamic-instruction budget and derives the hard cycle
+// stop from it (12 cycles per instruction). A budget outside
+// [1, math.MaxInt64/12] is an error and leaves the configuration unchanged.
+func (c *Config) SetBudget(instrs int64) error {
+	if instrs < 1 || instrs > maxBudget {
+		return fmt.Errorf("sim: budget %d outside [1, %d]", instrs, int64(maxBudget))
+	}
+	c.MaxInstrs = instrs
+	c.MaxCycles = instrs * cyclesPerInstr
+	return nil
+}
+
 // BaseCapacityKB returns the main RF capacity BEFORE design scaling: the
 // CapacityKB override (or the technology point's capacity) plus the
 // non-cached designs' fairness adjustment (+CacheKB, §5), resolved from the
@@ -293,6 +313,12 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxWarps < 1 || c.ActiveWarps < 1 {
 		return fmt.Errorf("sim: warp counts must be positive (%d/%d)", c.MaxWarps, c.ActiveWarps)
+	}
+	// Occupancy caps registers per thread to reach ActiveWarps resident
+	// warps, so an active set no SM can hold would silently shrink the
+	// kernel's registers instead of failing.
+	if c.ActiveWarps > c.MaxWarps {
+		return fmt.Errorf("sim: ActiveWarps %d exceeds MaxWarps %d", c.ActiveWarps, c.MaxWarps)
 	}
 	if c.CTAsPerSM < 0 {
 		return fmt.Errorf("sim: CTAsPerSM %d must be non-negative", c.CTAsPerSM)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"ltrf/internal/isa"
@@ -380,6 +381,27 @@ func TestConfigValidation(t *testing.T) {
 	c.RegsPerInterval = isa.MaxArchRegs + 1
 	if err := c.Validate(); err == nil {
 		t.Error("interval budget above the architectural register count must be rejected")
+	}
+	c = DefaultConfig(DesignLTRF)
+	c.ActiveWarps = c.MaxWarps + 1
+	if err := c.Validate(); err == nil {
+		t.Error("an active set larger than MaxWarps must be rejected")
+	}
+	c.ActiveWarps = c.MaxWarps
+	if err := c.Validate(); err != nil {
+		t.Errorf("an active set of exactly MaxWarps must be accepted: %v", err)
+	}
+	c = DefaultConfig(DesignLTRF)
+	for _, n := range []int64{0, -5, math.MaxInt64/12 + 1, math.MaxInt64} {
+		if err := c.SetBudget(n); err == nil {
+			t.Errorf("SetBudget(%d) must be rejected", n)
+		}
+	}
+	if c.MaxInstrs != DefaultConfig(DesignLTRF).MaxInstrs {
+		t.Error("a rejected SetBudget must leave the configuration unchanged")
+	}
+	if err := c.SetBudget(math.MaxInt64 / 12); err != nil || c.MaxCycles != c.MaxInstrs*12 {
+		t.Errorf("SetBudget(MaxInt64/12): err %v, MaxCycles %d, want 12x MaxInstrs", err, c.MaxCycles)
 	}
 }
 

@@ -315,8 +315,9 @@ func (o SimOptions) config() (sim.Config, error) {
 	c.Mem.Prefetch.Mode = memsys.PrefetchMode(o.Prefetch)
 	c.CTAsPerSM = o.CTAsPerSM
 	if o.MaxInstrs != 0 {
-		c.MaxInstrs = o.MaxInstrs
-		c.MaxCycles = o.MaxInstrs * 12
+		if err := c.SetBudget(o.MaxInstrs); err != nil {
+			return sim.Config{}, err
+		}
 	}
 	c.Chip = o.Chip
 	return c, nil

@@ -125,6 +125,33 @@ func TestSchedulerOption(t *testing.T) {
 	}
 }
 
+// TestSimOptionsRejectOutOfRangeKnobs pins that the facade rejects the
+// knobs the engine's point validation rejects, with the same message: a
+// budget whose 12-cycles-per-instruction stop would overflow int64 (not
+// the "budgets must be positive" of the wrapped product), and an active
+// set larger than the SM can hold (not a silently shrunk register cap).
+func TestSimOptionsRejectOutOfRangeKnobs(t *testing.T) {
+	kernel := buildDemoKernel(t)
+	cases := []struct {
+		o    ltrf.SimOptions
+		want string
+	}{
+		{ltrf.SimOptions{Design: ltrf.LTRF, MaxInstrs: 800_000_000_000_000_000}, "budget 800000000000000000 outside [1, "},
+		{ltrf.SimOptions{Design: ltrf.LTRF, MaxInstrs: -5}, "budget -5 outside [1, "},
+		{ltrf.SimOptions{Design: ltrf.LTRF, ActiveWarps: 100_000}, "ActiveWarps 100000 exceeds MaxWarps 64"},
+	}
+	for _, c := range cases {
+		_, err := ltrf.Simulate(c.o, kernel)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Simulate(%+v) error = %v, want it to contain %q", c.o, err, c.want)
+		}
+		_, err = ltrf.SimulateGPU(c.o, 2, kernel)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("SimulateGPU(%+v) error = %v, want it to contain %q", c.o, err, c.want)
+		}
+	}
+}
+
 func TestTechAccessor(t *testing.T) {
 	p, err := ltrf.Tech(7)
 	if err != nil {
