@@ -159,6 +159,14 @@ type Engine struct {
 // is the work memoization saved.
 func (e *Engine) Sims() int64 { return e.sims.Load() }
 
+// Memoized reports how many points the in-process memo holds, finished or
+// in flight. A rejected point never enters it.
+func (e *Engine) Memoized() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.results)
+}
+
 // StoreHits reports how many evaluations were served from the disk store
 // without re-simulation (always 0 for engines without a store).
 func (e *Engine) StoreHits() int64 { return e.storeHits.Load() }

@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math/bits"
+
 	"ltrf/internal/bitvec"
 	"ltrf/internal/isa"
 )
@@ -47,9 +49,8 @@ func (c *cached) Config() Config { return c.cfg }
 
 // readCacheReg reads a resident register from its cache bank after the WCB
 // address-table lookup.
-func (c *cached) readCacheReg(now int64, w *WarpRegs, r isa.Reg) int64 {
+func (c *cached) readCacheReg(now int64, bank int) int64 {
 	c.st.WCBAccesses++
-	bank := w.CacheBank(r)
 	if bank < 0 {
 		bank = 0
 	}
@@ -57,9 +58,9 @@ func (c *cached) readCacheReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 }
 
 // readMainReg reads a register from the main RF (exposed latency).
-func (c *cached) readMainReg(now int64, w *WarpRegs, r isa.Reg) int64 {
+func (c *cached) readMainReg(now int64, warp int, r isa.Reg) int64 {
 	c.st.MainReads++
-	return c.main.Access(now, mainBank(c.cfg.Banks, w.ID, int(r))) + c.net
+	return c.main.Access(now, mainBank(c.cfg.Banks, warp, int(r))) + c.net
 }
 
 // fetchReg moves one register main RF -> cache over the narrow crossbar
@@ -67,9 +68,9 @@ func (c *cached) readMainReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 // port and the crossbar lane are reserved at request time (the transfer is
 // store-and-forward buffered), so resource timestamps stay monotone and a
 // queued crossbar cannot ratchet bank reservations into the future.
-func (c *cached) fetchReg(now int64, w *WarpRegs, r isa.Reg) int64 {
+func (c *cached) fetchReg(now int64, warp int, r isa.Reg) int64 {
 	c.st.MainReads++
-	bank := mainBank(c.cfg.Banks, w.ID, int(r))
+	bank := mainBank(c.cfg.Banks, warp, int(r))
 	bankDone := c.main.Access(now, bank)
 	laneDone := c.xbar.Access(now, bank%c.xbarLanes)
 	if bankDone > laneDone {
@@ -82,48 +83,28 @@ func (c *cached) fetchReg(now int64, w *WarpRegs, r isa.Reg) int64 {
 // Register file banks have a separate write port fed from the crossbar's
 // buffer, so write-backs occupy crossbar bandwidth but never block the
 // read path.
-func (c *cached) writebackReg(now int64, w *WarpRegs, r isa.Reg) int64 {
+func (c *cached) writebackReg(now int64, warp int, r isa.Reg) int64 {
 	c.st.MainWrites++
 	c.st.WritebackRegs++
-	bank := mainBank(c.cfg.Banks, w.ID, int(r))
-	return c.xbar.Access(now, bank%c.xbarLanes) + int64(c.cfg.MainBankInitiation())
+	bank := mainBank(c.cfg.Banks, warp, int(r))
+	return c.xbar.Access(now, bank%c.xbarLanes) + c.main.initiation
 }
 
-// evictFor frees one cache slot using FIFO replacement, writing the victim
-// back if it is dirty. Returns when the slot is reusable (approximated as
-// immediately; the writeback drains in the background).
+// evict releases victim's cache slot, writing it back first when it is
+// dirty — and, with liveOnly (LTRF+, SHRF), still live. The slot is
+// reusable at once; the write-back drains in the background.
+func (c *cached) evict(now int64, w *WarpRegs, victim isa.Reg, liveOnly bool) {
+	if w.Dirty.Test(int(victim)) && (!liveOnly || w.Live.Test(int(victim))) {
+		c.writebackReg(now, w.ID, victim)
+	}
+	w.release(victim)
+}
+
+// evictFor frees one cache slot using FIFO replacement.
 func (c *cached) evictFor(now int64, w *WarpRegs) {
-	victim := w.fifoVictim()
-	if victim == isa.RegNone {
-		return
+	if victim := w.fifoVictim(); victim != isa.RegNone {
+		c.evict(now, w, victim, false)
 	}
-	if w.Dirty.Test(int(victim)) {
-		c.writebackReg(now, w, victim)
-	}
-	w.release(victim)
-}
-
-// evictForAvoiding frees one slot like evictFor but prefers the oldest
-// victim OUTSIDE the protected working set, so a PREFETCH never evicts the
-// registers it just brought in.
-func (c *cached) evictForAvoiding(now int64, w *WarpRegs, protect bitvec.Vector, plusLive bool) {
-	victim := isa.RegNone
-	for _, r := range w.fifo {
-		if !protect.Test(int(r)) {
-			victim = r
-			break
-		}
-	}
-	if victim == isa.RegNone {
-		victim = w.fifoVictim()
-	}
-	if victim == isa.RegNone {
-		return
-	}
-	if w.Dirty.Test(int(victim)) && (!plusLive || w.Live.Test(int(victim))) {
-		c.writebackReg(now, w, victim)
-	}
-	w.release(victim)
 }
 
 // installReg allocates a slot for r (evicting if needed).
@@ -137,19 +118,20 @@ func (c *cached) installReg(now int64, w *WarpRegs, r isa.Reg) {
 	w.allocate(r)
 }
 
-// flush writes back and releases all resident registers selected by sel
-// (nil = all resident), returning the last completion time.
+// flush writes back the resident registers selected by writeBack, in
+// ascending register order, then releases the whole partition; it returns
+// the last write-back completion time.
 func (c *cached) flush(now int64, w *WarpRegs, writeBack bitvec.Vector) int64 {
 	done := now
-	resident := w.Present
-	resident.ForEach(func(i int) {
-		r := isa.Reg(i)
-		if writeBack.Test(i) {
-			if t := c.writebackReg(now, w, r); t > done {
+	for wi, word := range w.Present.Intersect(writeBack) {
+		for word != 0 {
+			r := isa.Reg(wi<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+			if t := c.writebackReg(now, w.ID, r); t > done {
 				done = t
 			}
 		}
-		w.release(r)
-	})
+	}
+	w.releaseAll()
 	return done
 }

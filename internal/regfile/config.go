@@ -104,6 +104,26 @@ func (c Config) MainNetCycles() int {
 	return v
 }
 
+// maxLatencyCycles caps the main-RF bank and network latencies a latency
+// multiplier may produce. Event times are int64 sums of cycle counts and
+// latencies, and the latencies are rounded to int, so a multiplier past
+// this bound would overflow instead of simulating a slower register file.
+const maxLatencyCycles = math.MaxInt32
+
+// ValidateLatency checks the latency multiplier: it must be positive and
+// finite, and the main-RF bank and network latencies it produces must stay
+// within maxLatencyCycles.
+func (c Config) ValidateLatency() error {
+	if !(c.LatencyX > 0) || math.IsInf(c.LatencyX, 0) {
+		return fmt.Errorf("regfile: LatencyX %v must be positive and finite", c.LatencyX)
+	}
+	if bank, net := c.BankCyclesF*c.LatencyX, c.NetCyclesF*c.LatencyX; bank > maxLatencyCycles || net > maxLatencyCycles {
+		return fmt.Errorf("regfile: LatencyX %v makes the main-RF bank access %.4g cycles and the network %.4g, above the %d-cycle cap",
+			c.LatencyX, bank, net, maxLatencyCycles)
+	}
+	return nil
+}
+
 // MainAccessCycles is the un-queued main RF access latency.
 func (c Config) MainAccessCycles() int { return c.MainBankCycles() + c.MainNetCycles() }
 
@@ -112,8 +132,8 @@ func (c Config) Validate() error {
 	if c.Banks <= 0 || c.CacheBanks <= 0 {
 		return fmt.Errorf("regfile: non-positive bank counts in %+v", c)
 	}
-	if c.LatencyX <= 0 {
-		return fmt.Errorf("regfile: latency multiplier %v must be positive", c.LatencyX)
+	if err := c.ValidateLatency(); err != nil {
+		return err
 	}
 	if c.XbarCyclesPerReg <= 0 || c.OperandPorts <= 0 {
 		return fmt.Errorf("regfile: invalid crossbar/port config %+v", c)

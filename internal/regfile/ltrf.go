@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math/bits"
+
 	"ltrf/internal/bitvec"
 	"ltrf/internal/isa"
 )
@@ -65,10 +67,10 @@ func (c *LTRF) ReadOperands(now int64, w *WarpRegs, srcs []isa.Reg) int64 {
 		var t int64
 		if w.Present.Test(int(r)) {
 			c.st.CacheReadHits++
-			t = c.readCacheReg(start, w, r)
+			t = c.readCacheReg(start, w.CacheBank(r))
 		} else {
 			c.st.FallbackReads++
-			t = c.readMainReg(start, w, r)
+			t = c.readMainReg(start, w.ID, r)
 			c.installReg(start, w, r)
 		}
 		if t > done {
@@ -98,6 +100,14 @@ func (c *LTRF) WriteResult(now int64, w *WarpRegs, dst isa.Reg) int64 {
 // into a recently executed unit fetches little. The warp stalls until its
 // last register arrives; other active warps keep issuing, which is the
 // latency overlap at the heart of LTRF.
+//
+// The victims are picked in one forward walk of the allocation order.
+// Each eviction takes the oldest resident register outside the working
+// set; every register this PREFETCH allocates is inside it, so after one
+// eviction the next victim is the first unprotected register after the
+// last one, and a single cursor finds them all. A cursor that runs off
+// the end means a working set larger than the partition: the FIFO head
+// goes, protected or not.
 func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector) int64 {
 	if unitID == w.CurUnit {
 		return now
@@ -105,22 +115,38 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 	c.st.Prefetches++
 
 	done := now
-	ws.Diff(w.Present).ForEach(func(i int) {
-		r := isa.Reg(i)
-		if w.FreeSlots() == 0 {
-			c.evictForAvoiding(now, w, ws, c.plus)
+	cursor := w.head
+	for wi, word := range ws.Diff(w.Present) {
+		for word != 0 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if w.FreeSlots() == 0 {
+				for cursor != -1 && ws.Test(int(cursor)) {
+					cursor = w.order.next[cursor]
+				}
+				victim := cursor
+				if victim == -1 {
+					victim = w.head
+				} else {
+					cursor = w.order.next[cursor]
+				}
+				if victim != -1 {
+					c.evict(now, w, isa.Reg(victim), c.plus)
+				}
+			}
+			r := isa.Reg(i)
+			w.allocate(r)
+			if c.plus && !w.Live.Test(i) {
+				// Dead register: allocate space only; its first access
+				// will be a write (§3.2).
+				continue
+			}
+			c.st.PrefetchRegs++
+			if t := c.fetchReg(now, w.ID, r); t > done {
+				done = t
+			}
 		}
-		w.allocate(r)
-		if c.plus && !w.Live.Test(i) {
-			// Dead register: allocate space only; its first access will
-			// be a write (§3.2).
-			return
-		}
-		c.st.PrefetchRegs++
-		if t := c.fetchReg(now, w, r); t > done {
-			done = t
-		}
-	})
+	}
 
 	w.WS = ws
 	w.CurUnit = unitID
@@ -129,30 +155,36 @@ func (c *LTRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 
 // OnActivate re-fetches the working set of the interrupted unit from the
 // main RF (§4.2 Warp Stall: "it must refetch all its specified registers in
-// its working-set bit-vector that are still live").
+// its working-set bit-vector that are still live"). Residency is tested
+// per register as the walk goes, because a FIFO eviction for an earlier
+// register may take a later one.
 func (c *LTRF) OnActivate(now int64, w *WarpRegs) int64 {
 	if w.CurUnit == -1 {
 		return now // never entered a unit: first PREFETCH will load it
 	}
 	c.st.Activations++
 	done := now
-	w.WS.ForEach(func(i int) {
-		r := isa.Reg(i)
-		if w.Present.Test(i) {
-			return
+	for wi, word := range w.WS {
+		for word != 0 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if w.Present.Test(i) {
+				continue
+			}
+			if w.FreeSlots() == 0 {
+				c.evictFor(now, w)
+			}
+			r := isa.Reg(i)
+			w.allocate(r)
+			if c.plus && !w.Live.Test(i) {
+				continue
+			}
+			c.st.ActivationRegs++
+			if t := c.fetchReg(now, w.ID, r); t > done {
+				done = t
+			}
 		}
-		if w.FreeSlots() == 0 {
-			c.evictFor(now, w)
-		}
-		w.allocate(r)
-		if c.plus && !w.Live.Test(i) {
-			return
-		}
-		c.st.ActivationRegs++
-		if t := c.fetchReg(now, w, r); t > done {
-			done = t
-		}
-	})
+	}
 	return done
 }
 

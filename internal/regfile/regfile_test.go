@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +29,16 @@ func TestConfigLatencyScaling(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err == nil {
 		t.Error("zero config must be invalid")
+	}
+	// A multiplier that is not finite, or whose main-RF cycles overflow
+	// an int, would round to a garbage latency and be clamped to 1 cycle.
+	for _, x := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300, 1e10} {
+		if err := testConfig(x).Validate(); err == nil || !strings.Contains(err.Error(), "LatencyX") {
+			t.Errorf("LatencyX %v: Validate = %v, want an error naming LatencyX", x, err)
+		}
+	}
+	if err := testConfig(1e8).Validate(); err != nil {
+		t.Errorf("LatencyX 1e8 (3e8-cycle banks) must stay valid: %v", err)
 	}
 }
 
@@ -377,7 +389,7 @@ func TestQuickRFCInvariants(t *testing.T) {
 				rfc.ReadOperands(now, w, []isa.Reg{r})
 			}
 			// Shared cache occupancy never exceeds its slot count.
-			if len(rfc.fifo) > 8 || w.Present.Count() > 8 {
+			if rfc.n > 8 || w.Present.Count() > 8 {
 				return false
 			}
 			if lastWritten != isa.RegNone && op%3 == 0 && !w.Present.Test(int(lastWritten)) {
@@ -450,5 +462,53 @@ func TestLTRFOnUnitEnterAllocationFree(t *testing.T) {
 		if ltrf.Stats().Prefetches < 200 {
 			t.Fatalf("plus=%v: %d prefetches; the guard exercised nothing", plus, ltrf.Stats().Prefetches)
 		}
+	}
+}
+
+// TestLTRFActivationAllocationFree guards the deactivation flush and the
+// reactivation refetch: a warp that enters a unit, writes results, is
+// deactivated and comes back allocates nothing, for LTRF and LTRF+.
+func TestLTRFActivationAllocationFree(t *testing.T) {
+	ws := bitvec.New(0, 1, 2, 3, 4, 5, 6, 7, 70, 71, 130, 200)
+	for _, plus := range []bool{false, true} {
+		ltrf := NewLTRF(testConfig(2), plus)
+		w := NewWarpRegs(0, DefaultCacheBanks)
+		w.Live = bitvec.New(0, 2, 4, 6, 70, 130)
+		now := ltrf.OnUnitEnter(0, w, 0, ws)
+		allocs := testing.AllocsPerRun(200, func() {
+			ltrf.WriteResult(now, w, 2)
+			ltrf.WriteResult(now, w, 70)
+			now = ltrf.OnDeactivate(now, w) + 1
+			now = ltrf.OnActivate(now, w) + 1
+		})
+		if allocs != 0 {
+			t.Errorf("plus=%v: deactivate/activate allocates %.1f per cycle, want 0", plus, allocs)
+		}
+		if ltrf.Stats().Activations < 200 || ltrf.Stats().WritebackRegs < 200 {
+			t.Fatalf("plus=%v: %+v; the guard exercised nothing", plus, *ltrf.Stats())
+		}
+	}
+}
+
+// TestRFCAllocationFree guards the shared cache's replacement ring: result
+// writes that evict around a full cache, and deactivations that compact
+// it, allocate nothing.
+func TestRFCAllocationFree(t *testing.T) {
+	rfc := NewRFC(testConfig(2))
+	a, b := NewWarpRegs(0, DefaultCacheBanks), NewWarpRegs(1, DefaultCacheBanks)
+	now := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for r := isa.Reg(0); r < 100; r++ {
+			rfc.WriteResult(now, a, r)
+			rfc.WriteResult(now, b, r+100)
+			now++
+		}
+		now = rfc.OnDeactivate(now, a) + 1
+	})
+	if allocs != 0 {
+		t.Errorf("RFC install/deactivate allocates %.1f per round, want 0", allocs)
+	}
+	if rfc.Stats().WritebackRegs < 100*100 {
+		t.Fatalf("%d write-backs; the guard exercised no evictions", rfc.Stats().WritebackRegs)
 	}
 }

@@ -13,15 +13,10 @@ func init() {
 	})
 }
 
-// rfcKey identifies one warp-register in the shared cache.
-type rfcKey struct {
-	warp int
-	reg  isa.Reg
-}
-
+// rfcEntry is one warp-register resident in the shared cache.
 type rfcEntry struct {
-	key rfcKey
-	wr  *WarpRegs
+	w   *WarpRegs
+	reg isa.Reg
 }
 
 // RFC is the hardware register-file cache of Gebhart et al. [19] as the
@@ -32,11 +27,17 @@ type rfcEntry struct {
 // temporaries have little temporal locality, and there is no spatial
 // locality to exploit — so read misses expose the full main-RF latency,
 // capping its latency tolerance around 2x (§6.3).
+//
+// The cache's tags are each warp's Present vector: a warp-register is
+// resident exactly while its bit is set. Replacement order is a ring of
+// slots entries, allocated once, oldest at head; deactivation compacts it
+// in place. WarpRegs.Reset clears a finished warp's Present but leaves its
+// entries in the ring until they age out, which is harmless because a
+// finished warp never reads the cache again.
 type RFC struct {
 	cached
-	slots   int
-	fifo    []rfcEntry
-	present map[rfcKey]bool
+	ring    []rfcEntry
+	head, n int
 }
 
 // NewRFC builds the [19]-style shared hardware register cache.
@@ -45,39 +46,38 @@ func NewRFC(cfg Config) *RFC {
 	if slots < 1 {
 		slots = cfg.CacheBanks * 8
 	}
-	return &RFC{
-		cached:  newCached(cfg),
-		slots:   slots,
-		present: make(map[rfcKey]bool, slots),
-	}
+	return &RFC{cached: newCached(cfg), ring: make([]rfcEntry, slots)}
 }
 
 func (c *RFC) Name() string { return "RFC" }
 
 // has reports whether (warp, reg) is resident in the shared cache.
-func (c *RFC) has(w *WarpRegs, r isa.Reg) bool {
-	return c.present[rfcKey{w.ID, r}]
-}
+func (c *RFC) has(w *WarpRegs, r isa.Reg) bool { return w.Present.Test(int(r)) }
 
 // install inserts (warp, reg), evicting the FIFO victim if the cache is
 // full; a dirty victim is written back to the main RF.
 func (c *RFC) install(now int64, w *WarpRegs, r isa.Reg) {
-	key := rfcKey{w.ID, r}
-	if c.present[key] {
+	if c.has(w, r) {
 		return
 	}
-	if len(c.fifo) >= c.slots {
-		victim := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		delete(c.present, victim.key)
-		if victim.wr.Dirty.Test(int(victim.key.reg)) {
-			c.writebackReg(now, victim.wr, victim.key.reg)
+	if c.n == len(c.ring) {
+		v := c.ring[c.head]
+		if c.head++; c.head == len(c.ring) {
+			c.head = 0
 		}
-		victim.wr.Present.Clear(int(victim.key.reg))
-		victim.wr.Dirty.Clear(int(victim.key.reg))
+		c.n--
+		if v.w.Dirty.Test(int(v.reg)) {
+			c.writebackReg(now, v.w.ID, v.reg)
+		}
+		v.w.Present.Clear(int(v.reg))
+		v.w.Dirty.Clear(int(v.reg))
 	}
-	c.fifo = append(c.fifo, rfcEntry{key, w})
-	c.present[key] = true
+	tail := c.head + c.n
+	if tail >= len(c.ring) {
+		tail -= len(c.ring)
+	}
+	c.ring[tail] = rfcEntry{w, r}
+	c.n++
 	w.Present.Set(int(r))
 }
 
@@ -104,7 +104,7 @@ func (c *RFC) ReadOperands(now int64, w *WarpRegs, srcs []isa.Reg) int64 {
 			c.st.WCBAccesses++
 			t = c.cache.Access(start+int64(c.cfg.WCBCycles), c.cacheBankOf(w, r))
 		} else {
-			t = c.readMainReg(start, w, r)
+			t = c.readMainReg(start, w.ID, r)
 		}
 		if t > done {
 			done = t
@@ -133,24 +133,33 @@ func (c *RFC) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector) 
 func (c *RFC) OnActivate(now int64, w *WarpRegs) int64 { return now }
 
 // OnDeactivate flushes the warp's entries: dirty registers are written back
-// and the slots are freed for other warps.
+// in FIFO order and the slots are freed for other warps; the other warps'
+// entries close up in place, keeping their order.
 func (c *RFC) OnDeactivate(now int64, w *WarpRegs) int64 {
 	done := now
-	kept := c.fifo[:0]
-	for _, e := range c.fifo {
-		if e.key.warp != w.ID {
-			kept = append(kept, e)
+	from, to := c.head, c.head
+	kept := 0
+	for k := 0; k < c.n; k++ {
+		e := c.ring[from]
+		if from++; from == len(c.ring) {
+			from = 0
+		}
+		if e.w != w {
+			c.ring[to] = e
+			if to++; to == len(c.ring) {
+				to = 0
+			}
+			kept++
 			continue
 		}
-		delete(c.present, e.key)
-		if w.Dirty.Test(int(e.key.reg)) {
-			if t := c.writebackReg(now, w, e.key.reg); t > done {
+		if w.Dirty.Test(int(e.reg)) {
+			if t := c.writebackReg(now, w.ID, e.reg); t > done {
 				done = t
 			}
 		}
-		w.Present.Clear(int(e.key.reg))
-		w.Dirty.Clear(int(e.key.reg))
+		w.Present.Clear(int(e.reg))
+		w.Dirty.Clear(int(e.reg))
 	}
-	c.fifo = kept
+	c.n = kept
 	return done
 }

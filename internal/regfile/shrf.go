@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math/bits"
+
 	"ltrf/internal/bitvec"
 	"ltrf/internal/isa"
 )
@@ -44,9 +46,9 @@ func (c *SHRF) ReadOperands(now int64, w *WarpRegs, srcs []isa.Reg) int64 {
 		var t int64
 		if w.Present.Test(int(r)) {
 			c.st.CacheReadHits++
-			t = c.readCacheReg(start, w, r)
+			t = c.readCacheReg(start, w.CacheBank(r))
 		} else {
-			t = c.readMainReg(start, w, r)
+			t = c.readMainReg(start, w.ID, r)
 			c.installReg(start, w, r)
 		}
 		if t > done {
@@ -74,14 +76,13 @@ func (c *SHRF) OnUnitEnter(now int64, w *WarpRegs, unitID int, ws bitvec.Vector)
 		return now
 	}
 	c.st.Prefetches++ // counts strand-boundary movement operations
-	evict := w.Present.Diff(ws)
-	evict.ForEach(func(i int) {
-		r := isa.Reg(i)
-		if w.Dirty.Test(i) && w.Live.Test(i) {
-			c.writebackReg(now, w, r)
+	for wi, word := range w.Present.Diff(ws) {
+		for word != 0 {
+			r := isa.Reg(wi<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+			c.evict(now, w, r, true)
 		}
-		w.release(r)
-	})
+	}
 	w.WS = ws
 	w.CurUnit = unitID
 	return now

@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math/bits"
+
 	"ltrf/internal/bitvec"
 	"ltrf/internal/isa"
 )
@@ -8,9 +10,11 @@ import (
 // WarpRegs is the per-warp register bookkeeping shared by all cached
 // designs. It models the Warp Control Block of Figure 7 (register cache
 // address table + working-set bit-vector + liveness bit-vector) and the
-// per-warp address allocation unit of Figure 8 (the unused/occupied queues
-// become a free-bank FIFO plus the allocation-order list used for FIFO
-// replacement).
+// per-warp address allocation unit of Figure 8: the unused queue is a ring
+// of free cache banks, and the occupied queue is an intrusive doubly linked
+// list of the resident registers in allocation order, indexed by register
+// number. FIFO replacement reads its victim at the list head, allocation
+// links at the tail, and releasing any register unlinks it in O(1).
 type WarpRegs struct {
 	ID int
 
@@ -40,28 +44,45 @@ type WarpRegs struct {
 	freeBanks []int16
 	freeHead  int
 	freeLen   int
-	// fifo records allocation order for FIFO replacement (RFC/SHRF).
-	fifo []isa.Reg
+	// order links the resident registers in allocation order, head the
+	// oldest and tail the newest; -1 ends the list. Its 1 KiB is allocated
+	// by the warp's first allocation, so a warp of a design that never
+	// caches a register carries none.
+	order      *regOrder
+	head, tail int16
+}
+
+// regOrder is the allocation-order list's links, indexed by register
+// number. Entries of non-resident registers are stale and never read.
+type regOrder struct {
+	next, prev [isa.MaxArchRegs]int16
 }
 
 // NewWarpRegs creates the bookkeeping for one warp with a cache partition of
 // cacheBanks registers.
 func NewWarpRegs(id, cacheBanks int) *WarpRegs {
 	w := &WarpRegs{ID: id}
+	for i := range w.addrTable {
+		w.addrTable[i] = -1
+	}
 	w.Reset(cacheBanks)
 	return w
 }
 
 // Reset clears all state and re-fills the unused queue (kernel relaunch).
 func (w *WarpRegs) Reset(cacheBanks int) {
+	// Only resident registers hold an address-table entry.
+	for wi, word := range w.Present {
+		for word != 0 {
+			w.addrTable[wi<<6|bits.TrailingZeros64(word)] = -1
+			word &= word - 1
+		}
+	}
 	w.Present = bitvec.Vector{}
 	w.Dirty = bitvec.Vector{}
 	w.Live = bitvec.Vector{}
 	w.WS = bitvec.Vector{}
 	w.CurUnit = -1
-	for i := range w.addrTable {
-		w.addrTable[i] = -1
-	}
 	if cap(w.freeBanks) < cacheBanks {
 		w.freeBanks = make([]int16, cacheBanks)
 	} else {
@@ -72,7 +93,7 @@ func (w *WarpRegs) Reset(cacheBanks int) {
 	}
 	w.freeHead = 0
 	w.freeLen = cacheBanks
-	w.fifo = w.fifo[:0]
+	w.head, w.tail = -1, -1
 }
 
 // CacheBank returns the cache bank holding register r, or -1.
@@ -99,11 +120,24 @@ func (w *WarpRegs) allocate(r isa.Reg) bool {
 	w.freeLen--
 	w.addrTable[r] = bank
 	w.Present.Set(int(r))
-	w.fifo = append(w.fifo, r)
+	o := w.order
+	if o == nil {
+		o = new(regOrder)
+		w.order = o
+	}
+	ri := int16(r)
+	o.prev[r], o.next[r] = w.tail, -1
+	if w.tail == -1 {
+		w.head = ri
+	} else {
+		o.next[w.tail] = ri
+	}
+	w.tail = ri
 	return true
 }
 
-// release frees register r's cache bank back to the unused queue.
+// release frees register r's cache bank back to the unused queue and
+// unlinks r from the allocation order.
 func (w *WarpRegs) release(r isa.Reg) {
 	bank := w.addrTable[r]
 	if bank == -1 {
@@ -112,27 +146,55 @@ func (w *WarpRegs) release(r isa.Reg) {
 	w.addrTable[r] = -1
 	w.Present.Clear(int(r))
 	w.Dirty.Clear(int(r))
+	w.pushFree(bank)
+	o := w.order
+	p, n := o.prev[r], o.next[r]
+	if p == -1 {
+		w.head = n
+	} else {
+		o.next[p] = n
+	}
+	if n == -1 {
+		w.tail = p
+	} else {
+		o.prev[n] = p
+	}
+}
+
+// releaseAll frees every resident register, returning the cache banks to
+// the unused queue in ascending register order — the order per-register
+// release of the resident set would — and empties the allocation order.
+func (w *WarpRegs) releaseAll() {
+	for wi, word := range w.Present {
+		for word != 0 {
+			r := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			w.pushFree(w.addrTable[r])
+			w.addrTable[r] = -1
+		}
+	}
+	w.Dirty = w.Dirty.Diff(w.Present)
+	w.Present = bitvec.Vector{}
+	w.head, w.tail = -1, -1
+}
+
+// pushFree enqueues bank at the tail of the unused queue.
+func (w *WarpRegs) pushFree(bank int16) {
 	tail := w.freeHead + w.freeLen
 	if tail >= len(w.freeBanks) {
 		tail -= len(w.freeBanks)
 	}
 	w.freeBanks[tail] = bank
 	w.freeLen++
-	for i, fr := range w.fifo {
-		if fr == r {
-			w.fifo = append(w.fifo[:i], w.fifo[i+1:]...)
-			break
-		}
-	}
 }
 
 // fifoVictim returns the oldest resident register (FIFO replacement) or
 // RegNone when empty.
 func (w *WarpRegs) fifoVictim() isa.Reg {
-	if len(w.fifo) == 0 {
+	if w.head == -1 {
 		return isa.RegNone
 	}
-	return w.fifo[0]
+	return isa.Reg(w.head)
 }
 
 // WCBStorageBits returns the per-warp WCB storage cost in bits for the

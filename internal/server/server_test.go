@@ -108,6 +108,8 @@ var invalidEvalBodies = []map[string]any{
 	{"design": "LTRF", "workload": "sgemm", "budget": 8e17},
 	// An active set larger than the SM's 64 resident warps.
 	{"design": "LTRF", "workload": "sgemm", "active_warps": 100_000},
+	// A latency multiplier whose main-RF cycles overflow an int.
+	{"design": "LTRF", "workload": "sgemm", "latency_x": 1e300},
 }
 
 func TestEvalValidationIs400BeforeSimulation(t *testing.T) {

@@ -367,3 +367,51 @@ func TestMetaExposesLeaseCounters(t *testing.T) {
 		t.Errorf("puts = %d, want 1", sm.Puts)
 	}
 }
+
+// TestValidationErrorsAreNeverMemoized asserts a 400 leaves no trace in
+// the engine — no simulation, no recorded failure, no memo entry, even for
+// the valid points of a rejected grid — so the same request with its bad
+// axis value dropped simulates as if the rejection never happened.
+func TestValidationErrorsAreNeverMemoized(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	eng := srv.cfg.Engine
+	evalBody := func(latX float64) map[string]any {
+		return map[string]any{"design": "LTRF", "workload": "vectoradd", "budget": 2000, "latency_x": latX}
+	}
+	sweepBody := func(latXs ...float64) map[string]any {
+		return map[string]any{"designs": []string{"LTRF"}, "workloads": []string{"vectoradd"}, "budget": 2000, "latency_xs": latXs}
+	}
+	unchanged := func(when string, sims int64, memo int) {
+		t.Helper()
+		if n := eng.Sims(); n != sims {
+			t.Errorf("%s: %d simulations, want %d", when, n, sims)
+		}
+		if n := eng.Failures(); n != 0 {
+			t.Errorf("%s: %d engine failures, want 0", when, n)
+		}
+		if n := eng.Memoized(); n != memo {
+			t.Errorf("%s: memo holds %d points, want %d", when, n, memo)
+		}
+	}
+
+	if code, m := post(t, ts.URL+"/v1/eval", evalBody(1e300)); code != http.StatusBadRequest {
+		t.Fatalf("eval latency_x 1e300: status %d (%v), want 400", code, m)
+	}
+	unchanged("after the rejected eval", 0, 0)
+	resp := postSweep(t, ts, sweepBody(2, 1e300))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sweep latency_xs [2, 1e300]: status %d, want 400", resp.StatusCode)
+	}
+	unchanged("after the rejected sweep", 0, 0)
+
+	if code, m := post(t, ts.URL+"/v1/eval", evalBody(1.5)); code != http.StatusOK {
+		t.Fatalf("valid eval retry: status %d (%v), want 200", code, m)
+	}
+	unchanged("after the eval retry", 1, 1)
+	lines := decodeSweepStream(t, postSweep(t, ts, sweepBody(2)))
+	if last := lines[len(lines)-1]; last.Type != "summary" || last.OK != 1 {
+		t.Fatalf("valid sweep retry summary = %+v", last)
+	}
+	unchanged("after the sweep retry", 2, 2)
+}

@@ -305,8 +305,10 @@ func (c *Config) Validate() error {
 	if _, err := c.Design.Descriptor(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if c.LatencyX <= 0 {
-		return fmt.Errorf("sim: LatencyX %v must be positive", c.LatencyX)
+	// The register file scales the technology's main-RF latencies by
+	// LatencyX; the result must be a cycle count it can simulate.
+	if err := regfile.FromTech(c.Tech, c.LatencyX, c.RegsPerInterval).ValidateLatency(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if c.CapacityKB < 0 || c.CacheKB < 0 {
 		return fmt.Errorf("sim: capacities must be non-negative (CapacityKB %d, CacheKB %d)", c.CapacityKB, c.CacheKB)

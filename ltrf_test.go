@@ -1,6 +1,7 @@
 package ltrf_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -128,8 +129,10 @@ func TestSchedulerOption(t *testing.T) {
 // TestSimOptionsRejectOutOfRangeKnobs pins that the facade rejects the
 // knobs the engine's point validation rejects, with the same message: a
 // budget whose 12-cycles-per-instruction stop would overflow int64 (not
-// the "budgets must be positive" of the wrapped product), and an active
-// set larger than the SM can hold (not a silently shrunk register cap).
+// the "budgets must be positive" of the wrapped product), an active set
+// larger than the SM can hold (not a silently shrunk register cap), and a
+// latency multiplier that is not finite or whose main-RF latency overflows
+// a cycle count (not a run clamped back to the 1x timing).
 func TestSimOptionsRejectOutOfRangeKnobs(t *testing.T) {
 	kernel := buildDemoKernel(t)
 	cases := []struct {
@@ -139,6 +142,9 @@ func TestSimOptionsRejectOutOfRangeKnobs(t *testing.T) {
 		{ltrf.SimOptions{Design: ltrf.LTRF, MaxInstrs: 800_000_000_000_000_000}, "budget 800000000000000000 outside [1, "},
 		{ltrf.SimOptions{Design: ltrf.LTRF, MaxInstrs: -5}, "budget -5 outside [1, "},
 		{ltrf.SimOptions{Design: ltrf.LTRF, ActiveWarps: 100_000}, "ActiveWarps 100000 exceeds MaxWarps 64"},
+		{ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 1e300}, "LatencyX 1e+300 makes the main-RF bank access"},
+		{ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: math.NaN()}, "LatencyX NaN must be positive and finite"},
+		{ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: math.Inf(1)}, "LatencyX +Inf must be positive and finite"},
 	}
 	for _, c := range cases {
 		_, err := ltrf.Simulate(c.o, kernel)
