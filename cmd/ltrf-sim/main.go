@@ -40,7 +40,7 @@ func main() {
 		workload = flag.String("workload", "sgemm", "workload name (see -list)")
 		design   = flag.String("design", "LTRF", "registered design name (BL | RFC | SHRF | LTRF | LTRF+ | LTRF(strand) | Ideal | comp | regdem | ...)")
 		tech     = flag.Int("tech", 1, "Table 2 main register file config (1..7)")
-		latency  = flag.Float64("latency", 1.0, "main RF latency multiplier")
+		latency  = flag.Float64("latency", 1.0, "main RF latency multiplier (0 = 1x)")
 		warps    = flag.Int("active", 0, "active warps (0 = Table 3 default of 8)")
 		n        = flag.Int("n", 0, "registers per register-interval (0 = default 16)")
 		instrs   = flag.Int64("instrs", 0, "dynamic instruction budget (0 = default)")
@@ -107,7 +107,7 @@ func main() {
 	}
 
 	fmt.Printf("workload        %s (%s)\n", w.Name, w.Suite)
-	fmt.Printf("design          %s, tech #%d, latency %.2fx\n", res.Design, *tech, *latency)
+	fmt.Printf("design          %s, tech #%d, latency %.2fx\n", res.Design, *tech, res.Config.LatencyX)
 	fmt.Printf("warps           %d resident (%d regs/thread, demand %d, spilled %d)\n",
 		res.Warps, res.RegsPerThread, res.Demand, res.SpilledRegs)
 	fmt.Printf("IPC             %.3f (%d instrs / %d cycles)\n", res.IPC, res.Instrs, res.Cycles)

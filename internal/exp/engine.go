@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -280,14 +279,6 @@ func (o Options) engine() *Engine {
 	return defaultEngine
 }
 
-// workers resolves the worker-pool width.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // virtual memoizes workloads.Build so every simulation of a workload shares
 // one program pointer (which is what makes the compile cache hit).
 func (e *Engine) virtual(workload string, unroll int) (*isa.Program, error) {
@@ -338,7 +329,7 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// errLeaseBusy is EvalNoWait's deferral signal: another replica holds the
+// errLeaseBusy is evalNoWait's deferral signal: another replica holds the
 // point's lease, so a non-blocking caller should move on and come back.
 // Like cancellation it describes the moment, not the point, so it is never
 // memoized (see isTransientEvalErr).
@@ -365,20 +356,20 @@ func (e *Engine) Eval(ctx context.Context, p Point) (*sim.Result, error) {
 	return e.eval(ctx, p, true)
 }
 
-// EvalNoWait is Eval without the cross-replica wait: when another replica
-// holds the point's lease, it returns immediately with IsLeaseBusy-true
-// error instead of polling for the winner's publish. Streaming sweeps use
-// it to keep workers busy on uncontended points and revisit deferred ones
-// once the rest of the grid is dispatched (by which time they are usually
+// evalNoWait is Eval without the cross-replica wait: when another replica
+// holds the point's lease, it returns immediately with an isLeaseBusy
+// error instead of polling for the winner's publish. EvalStream uses it to
+// keep workers busy on uncontended points and revisit deferred ones once
+// the rest of the batch is dispatched (by which time they are usually
 // published store hits). Local singleflight still applies: concurrent
 // same-point callers on THIS engine share one evaluation.
-func (e *Engine) EvalNoWait(ctx context.Context, p Point) (*sim.Result, error) {
+func (e *Engine) evalNoWait(ctx context.Context, p Point) (*sim.Result, error) {
 	return e.eval(ctx, p, false)
 }
 
-// IsLeaseBusy reports whether err is EvalNoWait's deferral signal: the
+// isLeaseBusy reports whether err is evalNoWait's deferral signal: the
 // point is being computed by another replica right now.
-func IsLeaseBusy(err error) bool { return errors.Is(err, errLeaseBusy) }
+func isLeaseBusy(err error) bool { return errors.Is(err, errLeaseBusy) }
 
 func (e *Engine) eval(ctx context.Context, p Point, wait bool) (*sim.Result, error) {
 	if ctx == nil {
@@ -544,84 +535,31 @@ func (e *Engine) evalUncached(ctx context.Context, p Point) (*sim.Result, error)
 	return res, nil
 }
 
-// RunBatch evaluates a declared point set, fanning out over the options'
-// worker pool. It does not return errors: results and errors alike are
-// memoized, and drivers render serially through Eval afterwards — so both
-// the table bytes and the surfaced error are independent of worker count
-// and goroutine scheduling. (Failures() and FirstError() summarize what a
-// batch left behind.) A cancelled ctx stops dispatch promptly; in-flight
-// points observe the same ctx inside the simulator's advance loop.
-//
-// Dispatch order is kernel-batched (batchOrder): warm points first, then
-// cold points grouped by the kernel they will compile. Pure scheduling —
-// the memo plus the serial render make the experiment bytes identical for
-// any dispatch order (the golden suite locks this down).
+// RunBatch evaluates a declared point set by draining EvalStream over the
+// options' worker pool, so experiment runs get the same kernel-batched
+// dispatch and lease deferral as streaming sweeps. It does not return
+// errors: results and errors alike are memoized, and drivers render
+// serially through Eval afterwards — so both the table bytes and the
+// surfaced error are independent of worker count, dispatch order and
+// goroutine scheduling (the golden suite locks this down). Failures() and
+// FirstError() summarize what a batch left behind. A cancelled ctx stops
+// dispatch promptly; in-flight points observe the same ctx inside the
+// simulator's advance loop.
 func (e *Engine) RunBatch(ctx context.Context, o Options, pts []Point) {
-	if ctx == nil {
-		ctx = context.Background()
+	for range e.EvalStream(ctx, o.Parallelism, pts) {
 	}
-	pts = e.batchOrder(pts)
-	n := o.workers()
-	if n > len(pts) {
-		n = len(pts)
-	}
-	if n <= 1 {
-		for _, p := range pts {
-			if ctx.Err() != nil {
-				return
-			}
-			e.Eval(ctx, p) //nolint:errcheck // memoized; surfaced at render time
-		}
-		return
-	}
-	ch := make(chan Point)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range ch {
-				e.Eval(ctx, p) //nolint:errcheck // memoized; surfaced at render time
-			}
-		}()
-	}
-dispatch:
-	for _, p := range pts {
-		select {
-		case ch <- p:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(ch)
-	wg.Wait()
 }
 
-// batchOrder reorders a batch for dispatch: points that are already warm —
-// memoized on this engine or present in the disk store — come first, in
-// declaration order (they are near-free, so shared baselines publish
-// early), and the cold remainder is stably sorted by compiled-kernel
-// identity (workload, then unroll). Cold points therefore reach the worker
-// pool kernel by kernel: the first point of each kernel runs its compile
-// pipeline once (the CompileCache singleflights concurrent claimants) and
-// every later point of that kernel hits the cache, instead of the pool
-// interleaving half-warm compiles of many kernels. The input slice is not
-// modified; a reordered copy is returned when any reordering applies.
-func (e *Engine) batchOrder(pts []Point) []Point {
-	if len(pts) < 2 {
-		return pts
-	}
-	idx := e.batchOrderIdx(pts)
-	out := make([]Point, len(pts))
-	for i, j := range idx {
-		out[i] = pts[j]
-	}
-	return out
-}
-
-// batchOrderIdx is batchOrder as a permutation of input indices — the form
-// the streaming sweep needs, where each emitted record must carry its
-// position in the caller's declared grid regardless of dispatch order.
+// batchOrderIdx orders a batch for dispatch, as a permutation of input
+// indices: points that are already warm — memoized on this engine or
+// present in the disk store — come first, in declaration order (they are
+// near-free, so shared baselines publish early), and the cold remainder is
+// stably sorted by compiled-kernel identity (workload, then unroll). Cold
+// points therefore reach the worker pool kernel by kernel: the first point
+// of each kernel runs its compile pipeline once (the CompileCache
+// singleflights concurrent claimants) and every later point of that kernel
+// hits the cache, instead of the pool interleaving half-warm compiles of
+// many kernels.
 func (e *Engine) batchOrderIdx(pts []Point) []int {
 	warm := make([]int, 0, len(pts))
 	cold := make([]int, 0, len(pts))
@@ -696,32 +634,7 @@ func (e *Engine) Intervals(workload string, unroll, regCap, n int) (*isa.Program
 // scheduling). fn must write its output to index-addressed storage.
 func parallelEach(o Options, n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	w := o.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		ch := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			ch <- i
-		}
-		close(ch)
-		wg.Wait()
-	}
+	pool(context.Background(), o.Parallelism, n, func(i int) { errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -142,8 +142,8 @@ func TestCrashMidLeaseTakeover(t *testing.T) {
 	}
 }
 
-// TestLiveLeaseDefersNoWaitEval pins EvalNoWait's contract: while another
-// replica's live lease stands, the call returns the IsLeaseBusy deferral
+// TestLiveLeaseDefersNoWaitEval pins evalNoWait's contract: while another
+// replica's live lease stands, the call returns the isLeaseBusy deferral
 // signal without computing, and the deferral is NOT memoized — once the
 // lease is released (here: without a publish, i.e. the holder failed), the
 // next call computes normally.
@@ -157,8 +157,8 @@ func TestLiveLeaseDefersNoWaitEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.EvalNoWait(context.Background(), p); !IsLeaseBusy(err) {
-		t.Fatalf("EvalNoWait under live lease: got %v, want IsLeaseBusy", err)
+	if _, err := eng.evalNoWait(context.Background(), p); !isLeaseBusy(err) {
+		t.Fatalf("evalNoWait under live lease: got %v, want isLeaseBusy", err)
 	}
 	if eng.Sims() != 0 {
 		t.Fatalf("Sims=%d after deferral, want 0", eng.Sims())
@@ -166,11 +166,77 @@ func TestLiveLeaseDefersNoWaitEval(t *testing.T) {
 	if err := lease.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.EvalNoWait(context.Background(), p); err != nil {
-		t.Fatalf("EvalNoWait after release: %v", err)
+	if _, err := eng.evalNoWait(context.Background(), p); err != nil {
+		t.Fatalf("evalNoWait after release: %v", err)
 	}
 	if eng.Sims() != 1 {
 		t.Fatalf("Sims=%d, want 1", eng.Sims())
+	}
+}
+
+// TestRunBatchDefersLeasedPoint pins RunBatch's lease deferral: while
+// another replica's live lease stands on the first point in dispatch order,
+// a one-worker RunBatch memoizes every other point instead of blocking
+// behind it, and once the lease is released (here: without a publish, i.e.
+// the holder failed) it computes the leased point too.
+func TestRunBatchDefersLeasedPoint(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	eng := NewEngineWithStore(openTestStore(t, dir))
+	pts := coldGrid(4)
+	lease, err := st.AcquireLease(pts[0].canon().storeKey(), "other-replica", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.RunBatch(ctx, Options{Parallelism: 1}, pts)
+	}()
+
+	others := int64(len(pts) - 1)
+	for eng.Sims() < others {
+		select {
+		case <-done:
+			t.Fatalf("RunBatch returned with Sims=%d while the lease stands", eng.Sims())
+		case <-ctx.Done():
+			t.Fatalf("Sims=%d, want %d: RunBatch blocked behind the leased point", eng.Sims(), others)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	for _, p := range pts[1:] {
+		if _, err := eng.Eval(ctx, p); err != nil {
+			t.Fatalf("point budget %d: %v", p.Budget, err)
+		}
+	}
+	if eng.Sims() != others {
+		t.Fatalf("Sims=%d after re-reading the other points, want %d (not memoized)", eng.Sims(), others)
+	}
+	select {
+	case <-done:
+		t.Fatal("RunBatch returned before the leased point was computed")
+	default:
+	}
+
+	if err := lease.Release(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-ctx.Done():
+		t.Fatal("RunBatch did not finish after the lease was released")
+	}
+	if ctx.Err() != nil {
+		t.Fatal("RunBatch finished only because its context expired")
+	}
+	if _, err := eng.Eval(ctx, pts[0]); err != nil {
+		t.Fatalf("leased point: %v", err)
+	}
+	if eng.Sims() != int64(len(pts)) {
+		t.Fatalf("Sims=%d, want %d: the leased point was not computed by RunBatch", eng.Sims(), len(pts))
 	}
 }
 

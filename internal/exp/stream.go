@@ -17,16 +17,17 @@ type StreamResult struct {
 	Err   error
 }
 
-// EvalStream evaluates pts on a bounded worker pool and delivers each
-// result on the returned channel AS IT COMPLETES — warm points (memoized or
-// store-resident) flush immediately instead of queueing behind cold
-// simulations. The channel is closed after the last delivery (or promptly
-// after ctx fires; points not yet delivered are simply absent — the caller
-// counts them as cancelled).
+// EvalStream evaluates pts on a bounded worker pool (workers <= 0 means
+// GOMAXPROCS) and delivers each result on the returned channel AS IT
+// COMPLETES — warm points (memoized or store-resident) flush immediately
+// instead of queueing behind cold simulations. The channel is closed after
+// the last delivery, once every worker has returned (or promptly after ctx
+// fires; points not yet delivered are simply absent — the caller counts
+// them as cancelled). RunBatch is a drain of this stream.
 //
-// Dispatch reuses the engine's kernel-batched order (warm first in
-// declaration order, cold sorted by compiled-kernel identity) so the
-// compile cache hits across the sweep exactly as it does for RunBatch.
+// Dispatch follows batchOrderIdx (warm first in declaration order, cold
+// sorted by compiled-kernel identity), so a multi-kernel grid compiles
+// each kernel once instead of racing the workers into many compile misses.
 //
 // Cross-replica coordination is non-blocking: a cold point whose store
 // lease is held by another replica is DEFERRED — the worker moves on to the
@@ -40,94 +41,71 @@ func (e *Engine) EvalStream(ctx context.Context, workers int, pts []Point) <-cha
 		ctx = context.Background()
 	}
 	out := make(chan StreamResult)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	if len(pts) == 0 {
-		close(out)
-		return out
-	}
-
 	go func() {
 		defer close(out)
-
-		emit := func(idx int, res *sim.Result, err error) bool {
+		emit := func(idx int, res *sim.Result, err error) {
 			select {
 			case out <- StreamResult{Index: idx, Point: pts[idx], Res: res, Err: err}:
-				return true
 			case <-ctx.Done():
-				return false
 			}
 		}
 
 		// Pass 1: kernel-batched dispatch, deferring lease-contended points.
 		var deferredMu sync.Mutex
 		var deferred []int
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range jobs {
-					res, err := e.EvalNoWait(ctx, pts[idx])
-					if IsLeaseBusy(err) {
-						deferredMu.Lock()
-						deferred = append(deferred, idx)
-						deferredMu.Unlock()
-						continue
-					}
-					if !emit(idx, res, err) {
-						return
-					}
-				}
-			}()
-		}
-	dispatch:
-		for _, idx := range e.batchOrderIdx(pts) {
-			select {
-			case jobs <- idx:
-			case <-ctx.Done():
-				break dispatch
+		order := e.batchOrderIdx(pts)
+		pool(ctx, workers, len(order), func(k int) {
+			idx := order[k]
+			res, err := e.evalNoWait(ctx, pts[idx])
+			if isLeaseBusy(err) {
+				deferredMu.Lock()
+				deferred = append(deferred, idx)
+				deferredMu.Unlock()
+				return
 			}
-		}
-		close(jobs)
-		wg.Wait()
-		if ctx.Err() != nil {
-			return
-		}
+			emit(idx, res, err)
+		})
 
 		// Pass 2: deferred points, now with the blocking cross-replica wait.
 		// Most are store hits by now; stragglers poll until the owning
 		// replica publishes (or its lease expires and this engine takes the
-		// point over). Declaration order — batching no longer matters: these
-		// points are compiling (or compiled) on another replica, not here.
-		retry := make(chan int)
-		for w := 0; w < workers && w < len(deferred); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range retry {
-					res, err := e.Eval(ctx, pts[idx])
-					if !emit(idx, res, err) {
-						return
-					}
-				}
-			}()
-		}
-	redispatch:
-		for _, idx := range deferred {
-			select {
-			case retry <- idx:
-			case <-ctx.Done():
-				break redispatch
-			}
-		}
-		close(retry)
-		wg.Wait()
+		// point over). Batching no longer matters: these points are
+		// compiling (or compiled) on another replica, not here.
+		pool(ctx, workers, len(deferred), func(k int) {
+			idx := deferred[k]
+			res, err := e.Eval(ctx, pts[idx])
+			emit(idx, res, err)
+		})
 	}()
 	return out
+}
+
+// pool is the package's one worker pool: it calls job(k) for k = 0..n-1,
+// dispatched in that order, on at most workers goroutines (workers <= 0
+// means GOMAXPROCS). Dispatch stops when ctx fires; pool returns once every
+// dispatched job has returned. EvalStream's two passes (and so RunBatch)
+// and parallelEach's static analyses run on it.
+func pool(ctx context.Context, workers, n int, job func(k int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers && w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range jobs {
+				job(k)
+			}
+		}()
+	}
+	for k := 0; k < n && ctx.Err() == nil; k++ {
+		select {
+		case jobs <- k:
+		case <-ctx.Done():
+		}
+	}
+	close(jobs)
+	wg.Wait()
 }

@@ -24,7 +24,7 @@
 package server
 
 import (
-	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -104,6 +104,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
+	if cfg.MaxSweepPoints <= 0 {
+		cfg.MaxSweepPoints = maxSweepPoints
+	}
 	return &Server{
 		cfg: cfg,
 		sem: make(chan struct{}, cfg.MaxInFlight),
@@ -118,26 +121,77 @@ func New(cfg Config) (*Server, error) {
 //	GET  /v1/meta        designs, workloads, experiments, counters
 //	GET  /healthz        200 serving / 503 draining
 //
-// Every POST body passes http.MaxBytesReader (Config.MaxBodyBytes):
-// oversized requests answer 413 instead of being silently read in full.
+// Every POST route starts with the same prologue (begin): strict decode
+// under the Config.MaxBodyBytes cap, validation, admission, and deadline.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/eval", s.capBody(s.handleEval))
-	mux.HandleFunc("POST /v1/sweep", s.capBody(s.handleSweep))
-	mux.HandleFunc("POST /v1/experiment", s.capBody(s.handleExperiment))
+	mux.HandleFunc("POST /v1/eval", s.handleEval)
+	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/experiment", s.handleExperiment)
 	mux.HandleFunc("GET /v1/meta", s.handleMeta)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
 }
 
-// capBody wraps a POST handler's body in http.MaxBytesReader, so a decode
-// of an oversized body fails with *http.MaxBytesError (rendered as 413 by
-// writeDecodeErr) after at most MaxBodyBytes read.
-func (s *Server) capBody(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		h(w, r)
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow; a request outside [0, maxTimeoutMS] is a 400.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// begin is the request prologue every POST route shares. It counts the
+// request in flight (Drain waits for it), decodes the body strictly into
+// req, checks timeout_ms, runs the route's parse, admits the request
+// through the load-shedding gate, and derives its context: bounded by
+// timeout_ms when set, else by DefaultTimeout. Every rejection comes
+// before admission, so a bad request never holds an evaluation slot or
+// runs a simulation. timeoutMS points at req's timeout_ms field.
+//
+// A nil end means the response has been written (a rejection, a shed, or
+// a client gone while queued); otherwise the caller runs the request under
+// ctx and must call end.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, req any, timeoutMS *int64, parse func() error) (ctx context.Context, end func()) {
+	s.inflight.Add(1)
+	release := s.accept(w, r, req, timeoutMS, parse)
+	if release == nil {
+		s.inflight.Done()
+		return nil, nil
 	}
+	ctx, cancel := r.Context(), func() {}
+	timeout := s.cfg.DefaultTimeout
+	if *timeoutMS > 0 {
+		timeout = time.Duration(*timeoutMS) * time.Millisecond
+	}
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	return ctx, func() {
+		cancel()
+		release()
+		s.inflight.Done()
+	}
+}
+
+// accept is begin's gate: a body over the MaxBodyBytes cap is 413, a body
+// that is not exactly one request (unknown fields included) is 400, a
+// timeout_ms outside [0, maxTimeoutMS] or a request parse rejects is 400,
+// and admission may shed (429/503). A nil release means the response has
+// been written; otherwise the caller owns an evaluation slot.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, req any, timeoutMS *int64, parse func() error) (release func()) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		writeDecodeErr(w, err)
+		return nil
+	}
+	if ms := *timeoutMS; ms < 0 || ms > maxTimeoutMS {
+		writeErr(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("timeout_ms %d is outside [0, %d]", ms, maxTimeoutMS))
+		return nil
+	}
+	if err := parse(); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		return nil
+	}
+	return s.admit(w, r)
 }
 
 // writeDecodeErr classifies a request-body decode failure: a body over the
@@ -272,6 +326,15 @@ func (s *Server) retryAfter() string {
 // connection before the response; the code is best-effort (usually unseen).
 const statusClientClosedRequest = 499
 
+// The defaults /v1/eval and /v1/sweep apply to an omitted tech, latency
+// multiplier and budget: Table 2 config #1, 1x, and the full-run
+// experiment budget.
+const (
+	defaultTech     = 1
+	defaultLatencyX = 1.0
+	defaultBudget   = 40_000
+)
+
 // EvalRequest asks for one point's result. Zero fields take defaults:
 // tech 1, latency_x 1.0, budget 40000 (the full-run experiment budget).
 type EvalRequest struct {
@@ -310,7 +373,7 @@ type EvalResponse struct {
 }
 
 // parsePoint resolves an EvalRequest against the live registries, applies
-// its defaults, and builds the canonical point, validated by
+// the defaults, and builds the canonical point, validated by
 // exp.Point.Validate. Validation happens BEFORE evaluation so bad input is
 // a 400, never a burned simulation slot or a memoized failure.
 func parsePoint(req *EvalRequest) (exp.Point, error) {
@@ -322,22 +385,13 @@ func parsePoint(req *EvalRequest) (exp.Point, error) {
 	if err != nil {
 		return exp.Point{}, err
 	}
-	if req.Tech == 0 {
-		req.Tech = 1
-	}
-	if req.LatencyX == 0 {
-		req.LatencyX = 1.0
-	}
-	if req.Budget == 0 {
-		req.Budget = 40_000
-	}
 	p := exp.Point{
 		Design:          sim.Design(desc.Name),
-		Tech:            req.Tech,
-		LatencyX:        req.LatencyX,
+		Tech:            cmp.Or(req.Tech, defaultTech),
+		LatencyX:        cmp.Or(req.LatencyX, defaultLatencyX),
 		Workload:        w.Name,
 		Unroll:          workloads.UnrollMaxwell,
-		Budget:          req.Budget,
+		Budget:          cmp.Or(req.Budget, defaultBudget),
 		RegsPerInterval: req.RegsPerInterval,
 		ActiveWarps:     req.ActiveWarps,
 		Prefetch:        req.Prefetch,
@@ -349,39 +403,19 @@ func parsePoint(req *EvalRequest) (exp.Point, error) {
 	return p, nil
 }
 
+// handleEval serves POST /v1/eval: one point, answered as its
+// EvalResponse (200), the truncated 422, or the evaluation error.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-
 	var req EvalRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeErr(w, err)
+	var pt exp.Point
+	ctx, end := s.begin(w, r, &req, &req.TimeoutMS, func() (err error) {
+		pt, err = parsePoint(&req)
+		return err
+	})
+	if end == nil {
 		return
 	}
-	pt, err := parsePoint(&req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
-	release := s.admit(w, r)
-	if release == nil {
-		return
-	}
-	defer release()
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	defer end()
 
 	res, err := s.cfg.Engine.Eval(ctx, pt)
 	if err != nil {
@@ -466,39 +500,20 @@ type ExperimentResponse struct {
 	Text    string     `json:"text"`
 }
 
+// handleExperiment serves POST /v1/experiment: it renders one registered
+// artifact on the server's engine and answers the whole table as one
+// ExperimentResponse.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-
 	var req ExperimentRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeErr(w, err)
+	var spec exp.Spec
+	ctx, end := s.begin(w, r, &req, &req.TimeoutMS, func() (err error) {
+		spec, err = exp.ByID(req.ID)
+		return err
+	})
+	if end == nil {
 		return
 	}
-	spec, err := exp.ByID(req.ID)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
-	release := s.admit(w, r)
-	if release == nil {
-		return
-	}
-	defer release()
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	defer end()
 
 	t, err := spec.Run(exp.Options{
 		Ctx:         ctx,
@@ -512,86 +527,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.writeEvalError(w, err)
 		return
 	}
-	writeExperimentStreaming(w, t)
-}
-
-// writeExperimentStreaming renders the ExperimentResponse shape directly
-// through the response writer: rows are encoded one at a time with periodic
-// flushes and the text rendering is escaped as it is produced — the server
-// never materializes the whole artifact (rows × columns plus the aligned
-// text, twice) as one in-memory value the way writeJSON on a fully-built
-// ExperimentResponse did. Wire shape is identical to the buffered response;
-// only the production is incremental.
-func writeExperimentStreaming(w http.ResponseWriter, t *exp.Table) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriter(w)
-	emit := func(v any) {
-		data, err := json.Marshal(v)
-		if err == nil {
-			bw.Write(data) //nolint:errcheck // client gone; nothing to do
-		}
-	}
-	bw.WriteString(`{"id":`)
-	emit(t.ID)
-	bw.WriteString(`,"title":`)
-	emit(t.Title)
-	bw.WriteString(`,"headers":`)
-	emit(t.Headers)
-	bw.WriteString(`,"rows":[`)
-	for i, row := range t.Rows {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		emit(row)
-		if i%64 == 63 {
-			bw.Flush() //nolint:errcheck // as above
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-	}
-	bw.WriteByte(']')
-	if len(t.Notes) > 0 {
-		bw.WriteString(`,"notes":`)
-		emit(t.Notes)
-	}
-	bw.WriteString(`,"text":"`)
-	t.Fprint(&jsonStringEscaper{w: bw})
-	bw.WriteString("\"}\n")
-	bw.Flush() //nolint:errcheck // as above
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// jsonStringEscaper streams bytes into an open JSON string literal: quotes,
-// backslashes, and control characters are escaped; everything else (UTF-8
-// included) passes through untouched.
-type jsonStringEscaper struct {
-	w *bufio.Writer
-}
-
-func (e *jsonStringEscaper) Write(p []byte) (int, error) {
-	for _, b := range p {
-		switch {
-		case b == '"' || b == '\\':
-			e.w.WriteByte('\\')
-			e.w.WriteByte(b)
-		case b == '\n':
-			e.w.WriteString(`\n`)
-		case b == '\t':
-			e.w.WriteString(`\t`)
-		case b == '\r':
-			e.w.WriteString(`\r`)
-		case b < 0x20:
-			fmt.Fprintf(e.w, `\u%04x`, b)
-		default:
-			e.w.WriteByte(b)
-		}
-	}
-	return len(p), nil
+	writeJSON(w, http.StatusOK, ExperimentResponse{
+		ID: t.ID, Title: t.Title, Headers: t.Headers, Rows: t.Rows, Notes: t.Notes, Text: t.String(),
+	})
 }
 
 // MetaResponse describes the serving surface and its counters.

@@ -110,6 +110,9 @@ var invalidEvalBodies = []map[string]any{
 	{"design": "LTRF", "workload": "sgemm", "active_warps": 100_000},
 	// A latency multiplier whose main-RF cycles overflow an int.
 	{"design": "LTRF", "workload": "sgemm", "latency_x": 1e300},
+	// A timeout whose nanosecond Duration overflows int64, and a negative one.
+	{"design": "LTRF", "workload": "sgemm", "timeout_ms": 18446744073710},
+	{"design": "LTRF", "workload": "sgemm", "timeout_ms": -5},
 }
 
 func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
@@ -356,30 +359,55 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestExperimentEndpoint regenerates a paper artifact over HTTP and spot
-// checks the rendered table.
+// TestExperimentEndpoint regenerates paper artifacts over HTTP and checks
+// each response against the same experiment run in process on a fresh
+// engine: every field, the rendered text included.
 func TestExperimentEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	_, ts := newTestServer(t, Config{})
-	code, m := post(t, ts.URL+"/v1/experiment",
-		map[string]any{"id": "figure9", "quick": true, "workloads": []string{"vectoradd"}})
-	if code != http.StatusOK {
-		t.Fatalf("status = %d (%v)", code, m)
-	}
-	var r ExperimentResponse
-	full, _ := json.Marshal(m)
-	if err := json.Unmarshal(full, &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "figure9" || len(r.Rows) == 0 || !strings.Contains(r.Text, "vectoradd") {
-		t.Errorf("implausible experiment response: id=%q rows=%d", r.ID, len(r.Rows))
+	for _, id := range []string{"figure9", "designsweep"} {
+		code, m := post(t, ts.URL+"/v1/experiment",
+			map[string]any{"id": id, "quick": true, "workloads": []string{"vectoradd"}})
+		if code != http.StatusOK {
+			t.Fatalf("%s: status = %d (%v)", id, code, m)
+		}
+		var got ExperimentResponse
+		full, _ := json.Marshal(m)
+		if err := json.Unmarshal(full, &got); err != nil {
+			t.Fatal(err)
+		}
+
+		spec, err := exp.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := spec.Run(exp.Options{Quick: true, Workloads: []string{"vectoradd"}, Engine: exp.NewEngine()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ExperimentResponse{
+			ID: tab.ID, Title: tab.Title, Headers: tab.Headers, Rows: tab.Rows, Notes: tab.Notes, Text: tab.String(),
+		}
+		if got.Text != want.Text {
+			t.Errorf("%s: text differs from the in-process table:\n--- http ---\n%s\n--- in process ---\n%s", id, got.Text, want.Text)
+		}
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(want)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: response differs from the in-process table:\n got %s\nwant %s", id, gotJSON, wantJSON)
+		}
 	}
 
-	code, m = post(t, ts.URL+"/v1/experiment", map[string]any{"id": "nosuch"})
-	if code != http.StatusBadRequest {
-		t.Errorf("unknown experiment = %d (%v), want 400", code, m)
+	for _, body := range []map[string]any{
+		{"id": "nosuch"},
+		{"id": "figure9", "timeout_ms": 18446744073710},
+		{"id": "figure9", "timeout_ms": -5},
+	} {
+		if code, m := post(t, ts.URL+"/v1/experiment", body); code != http.StatusBadRequest {
+			t.Errorf("%v: status = %d (%s), want 400", body, code, m)
+		}
 	}
 }
 

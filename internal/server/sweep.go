@@ -1,7 +1,7 @@
 package server
 
 import (
-	"context"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -158,15 +158,13 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	}
 	techs := req.Techs
 	if len(techs) == 0 {
-		techs = []int{1}
+		techs = []int{defaultTech}
 	}
 	lats := req.LatencyXs
 	if len(lats) == 0 {
-		lats = []float64{1.0}
+		lats = []float64{defaultLatencyX}
 	}
-	if req.Budget == 0 {
-		req.Budget = 40_000
-	}
+	budget := cmp.Or(req.Budget, defaultBudget)
 	scheds := req.Schedulers
 	if len(scheds) == 0 {
 		scheds = []string{""}
@@ -198,7 +196,7 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 								Tech:      tn,
 								LatencyX:  lx,
 								Unroll:    workloads.UnrollMaxwell,
-								Budget:    req.Budget,
+								Budget:    budget,
 								Scheduler: sim.Scheduler(sc),
 								Prefetch:  pm,
 								CTAs:      ct,
@@ -219,43 +217,19 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	return pts, nil
 }
 
+// handleSweep serves POST /v1/sweep: the expanded grid, streamed as
+// NDJSON records in completion order and closed by the summary.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeDecodeErr(w, err)
+	var pts []exp.Point
+	ctx, end := s.begin(w, r, &req, &req.TimeoutMS, func() (err error) {
+		pts, err = expandSweep(&req, s.cfg.MaxSweepPoints)
+		return err
+	})
+	if end == nil {
 		return
 	}
-	maxPoints := s.cfg.MaxSweepPoints
-	if maxPoints <= 0 {
-		maxPoints = maxSweepPoints
-	}
-	pts, err := expandSweep(&req, maxPoints)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
-	release := s.admit(w, r)
-	if release == nil {
-		return
-	}
-	defer release()
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	defer end()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Points", strconv.Itoa(len(pts)))

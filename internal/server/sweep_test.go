@@ -203,6 +203,9 @@ func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
 		"negative budget": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": -1},
 		// Its derived cycle stop (12 cycles per instruction) overflows int64.
 		"overflowing budget": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": 8e17},
+		// Its nanosecond Duration overflows int64.
+		"overflowing timeout": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "timeout_ms": 18446744073710},
+		"negative timeout":    {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "timeout_ms": -5},
 	} {
 		resp := postSweep(t, ts, body)
 		resp.Body.Close()
