@@ -84,6 +84,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ltrf-sim:", err)
 		os.Exit(2)
 	}
+	// The facade reads TechConfig 0 as "the default config", which the
+	// header would then misreport as "tech #0".
+	if _, err := ltrf.Tech(*tech); err != nil {
+		fmt.Fprintf(os.Stderr, "ltrf-sim: -tech %d: %v\n", *tech, err)
+		os.Exit(2)
+	}
 	// SIGINT/SIGTERM and -timeout both cancel the simulation through the
 	// simulator's context plumbing — it stops inside the advance loop
 	// instead of running to completion and being discarded.

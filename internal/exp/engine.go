@@ -449,6 +449,7 @@ func (e *Engine) evalStored(ctx context.Context, p Point, wait bool) (*sim.Resul
 		return e.evalUncached(ctx, p)
 	}
 	key := p.storeKey()
+	rejected := false // an entry exists but does not decode
 	for try := 1; ; try++ {
 		// First round always reads; later rounds are waiter polls that stat
 		// (Has) before paying for a checksummed read.
@@ -458,10 +459,10 @@ func (e *Engine) evalStored(ctx context.Context, p Point, wait bool) (*sim.Resul
 					e.storeHits.Add(1)
 					return res, nil
 				}
-				// Decodable-but-implausible or schema-drifted payload:
-				// recompute and overwrite below. (Checksum failures never
-				// reach here — the store quarantines them and returns
-				// ErrCorrupt.)
+				// Undecodable or implausible payload: recompute and
+				// overwrite below. (Checksum failures never reach here —
+				// the store quarantines them and returns ErrCorrupt.)
+				rejected = true
 			} else if !errors.Is(err, store.ErrNotFound) && !errors.Is(err, store.ErrCorrupt) {
 				e.storeErrs.Add(1)
 				// The disk is misbehaving; skip lease coordination on the
@@ -474,8 +475,10 @@ func (e *Engine) evalStored(ctx context.Context, p Point, wait bool) (*sim.Resul
 			// Double-check under the lease: another replica may have
 			// published (and released) in the window between this round's
 			// miss and the acquisition — computing now would duplicate its
-			// work. Release and loop back to the read path instead.
-			if e.disk.Has(key) {
+			// work. Release and loop back to the read path instead — unless
+			// the entry there is one this engine could not decode, which
+			// only the recompute replaces.
+			if !rejected && e.disk.Has(key) {
 				lease.Release() //nolint:errcheck // best-effort; TTL reclaims
 				continue
 			}
@@ -510,10 +513,8 @@ func (e *Engine) computeAndPublish(ctx context.Context, p Point, key string, lea
 	if err != nil {
 		return nil, err
 	}
-	if data, err := encodeResult(res); err == nil {
-		if err := e.disk.Put(key, data); err != nil {
-			e.storeErrs.Add(1) // degraded to compute-only; result still served
-		}
+	if err := e.disk.Put(key, encodeResult(res)); err != nil {
+		e.storeErrs.Add(1) // degraded to compute-only; result still served
 	}
 	return res, nil
 }

@@ -1,8 +1,13 @@
 package exp
 
 import (
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 
 	"ltrf/internal/sim"
 )
@@ -10,18 +15,22 @@ import (
 // ResultSchemaVersion names the persisted-result schema. It is folded into
 // every store entry's content address (see StoreVersion), so bumping it
 // makes every old entry an unreachable miss instead of a wrongly-decoded
-// hit. Bump it whenever the meaning of a stored field changes — new
-// sim.Stats fields that default to their zero value do NOT require a bump
-// (old entries decode with the zero, exactly what a re-run before the field
-// existed would have reported), but changed semantics of an existing field
-// do.
-const ResultSchemaVersion = 1
+// hit. Layout changes need no bump: adding, removing, renaming, reordering
+// or retyping a storedResult field changes the layout fingerprint, which
+// StoreVersion folds in too. Bump it only when the meaning of a stored
+// field changes while its layout stays put (a counter that starts counting
+// something else, a unit change).
+//
+// v2: the payload moved from JSON to the binary layout of encodeResult.
+const ResultSchemaVersion = 2
 
 // StoreVersion is the version string engines pass to store.Open: schema
-// revision plus the canonical key layout. Everything else that affects
-// result bytes (design, tech point, budget, knob overrides) is already in
-// the key itself.
-func StoreVersion() string { return fmt.Sprintf("ltrf-exp/v%d", ResultSchemaVersion) }
+// revision plus the payload layout's fingerprint. Everything else that
+// affects result bytes (design, tech point, budget, knob overrides) is
+// already in the key itself.
+func StoreVersion() string {
+	return fmt.Sprintf("ltrf-exp/v%d/%s", ResultSchemaVersion, resultLayout.fingerprint)
+}
 
 // storeKey renders the canonical (post-canon) point as the store's
 // user-level key. Field order is fixed and every field is explicit, so the
@@ -47,31 +56,151 @@ func (p Point) storeKey() string {
 // storedResult is the persisted payload: the simulation's statistics and
 // the compile-time scalars. sim.Config is deliberately NOT serialized — it
 // embeds memtech.Params, whose derived latency fields are unexported and
-// would silently zero through a JSON round-trip, corrupting energy
+// would silently zero through a serialization round-trip, corrupting energy
 // accounting. Instead decodeResult rebuilds the Config from the Point
 // through the exact code path evalUncached uses, so a rehydrated Result is
 // field-for-field what a fresh simulation would have returned (float64
-// values round-trip exactly through encoding/json, keeping rendered tables
+// values round-trip through their IEEE bits, keeping rendered tables
 // byte-identical).
 type storedResult struct {
 	Stats    sim.Stats
-	Kernel   string
 	Demand   int
 	Capacity int
+	Kernel   string
 }
 
-func encodeResult(res *sim.Result) ([]byte, error) {
-	return json.Marshal(storedResult{
+// layout is the binary payload format of a struct type: its leaf fields in
+// declaration order, nested structs (embedded ones included) walked
+// depth-first, written back to back in little-endian — int and int64 as 8
+// bytes, float64 as its IEEE bits, bool as one byte (0 or 1), string as an
+// 8-byte length and then its bytes. A decoder must consume the payload
+// exactly, so every payload has one decoding and every Result one encoding.
+type layout struct {
+	leaves      []leaf
+	fixed       int    // payload bytes excluding string contents
+	fingerprint string // short hash of every leaf's field path and kind
+}
+
+type leaf struct {
+	index []int // reflect.Value.FieldByIndex path from the root
+	kind  reflect.Kind
+}
+
+var resultLayout = layoutOf(reflect.TypeOf(storedResult{}))
+
+// layoutOf walks t's fields once. A field kind the format has no encoding
+// for panics at package initialisation, so a Stats field of a new kind
+// cannot be silently dropped from the store.
+func layoutOf(t reflect.Type) *layout {
+	l := &layout{}
+	h := sha256.New()
+	var walk func(t reflect.Type, index []int, path string)
+	walk = func(t reflect.Type, index []int, path string) {
+		for i := range t.NumField() {
+			f := t.Field(i)
+			idx := append(index[:len(index):len(index)], i)
+			p := path + f.Name
+			if !f.IsExported() {
+				panic(fmt.Sprintf("exp: stored field %s is unexported", p))
+			}
+			k := f.Type.Kind()
+			switch k {
+			case reflect.Struct:
+				walk(f.Type, idx, p+".")
+				continue
+			case reflect.Int, reflect.Int64, reflect.Float64, reflect.String:
+				l.fixed += 8
+			case reflect.Bool:
+				l.fixed++
+			default:
+				panic(fmt.Sprintf("exp: stored field %s has unsupported kind %s", p, k))
+			}
+			fmt.Fprintf(h, "%s %s\n", p, k)
+			l.leaves = append(l.leaves, leaf{index: idx, kind: k})
+		}
+	}
+	walk(t, nil, "")
+	l.fingerprint = hex.EncodeToString(h.Sum(nil)[:4])
+	return l
+}
+
+// encode appends v's payload to buf.
+func (l *layout) encode(buf []byte, v reflect.Value) []byte {
+	for _, lf := range l.leaves {
+		f := v.FieldByIndex(lf.index)
+		switch lf.kind {
+		case reflect.Int, reflect.Int64:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Int()))
+		case reflect.Float64:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.Float()))
+		case reflect.Bool:
+			b := byte(0)
+			if f.Bool() {
+				b = 1
+			}
+			buf = append(buf, b)
+		case reflect.String:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Len()))
+			buf = append(buf, f.String()...)
+		}
+	}
+	return buf
+}
+
+var errShortPayload = errors.New("short payload")
+
+// decode fills v (addressable) from data, which it must consume exactly.
+func (l *layout) decode(data []byte, v reflect.Value) error {
+	for _, lf := range l.leaves {
+		f := v.FieldByIndex(lf.index)
+		if lf.kind == reflect.Bool {
+			if len(data) < 1 {
+				return errShortPayload
+			}
+			if data[0] > 1 {
+				return fmt.Errorf("bool byte %d", data[0])
+			}
+			f.SetBool(data[0] == 1)
+			data = data[1:]
+			continue
+		}
+		if len(data) < 8 {
+			return errShortPayload
+		}
+		u := binary.LittleEndian.Uint64(data)
+		data = data[8:]
+		switch lf.kind {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(u))
+		case reflect.Float64:
+			f.SetFloat(math.Float64frombits(u))
+		case reflect.String:
+			if u > uint64(len(data)) {
+				return fmt.Errorf("string length %d exceeds the %d bytes left", u, len(data))
+			}
+			f.SetString(string(data[:u]))
+			data = data[u:]
+		}
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(data))
+	}
+	return nil
+}
+
+func encodeResult(res *sim.Result) []byte {
+	sr := storedResult{
 		Stats:    res.Stats,
-		Kernel:   res.Kernel,
 		Demand:   res.Demand,
 		Capacity: res.Capacity,
-	})
+		Kernel:   res.Kernel,
+	}
+	return resultLayout.encode(make([]byte, 0, resultLayout.fixed+len(sr.Kernel)), reflect.ValueOf(&sr).Elem())
 }
 
 func decodeResult(p Point, data []byte) (*sim.Result, error) {
 	var sr storedResult
-	if err := json.Unmarshal(data, &sr); err != nil {
+	if err := resultLayout.decode(data, reflect.ValueOf(&sr).Elem()); err != nil {
 		return nil, fmt.Errorf("exp: stored result for %s: %w", p.storeKey(), err)
 	}
 	// A checksum-valid entry can still be semantically impossible (e.g.

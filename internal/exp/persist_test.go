@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -270,4 +272,163 @@ func TestGoldenByteIdenticalWithStore(t *testing.T) {
 	if warmEng.Sims() != 0 {
 		t.Errorf("warm store run re-simulated %d points, want 0", warmEng.Sims())
 	}
+}
+
+// fillLeaves sets every leaf field under v to a distinct non-zero value:
+// ints alternate in sign, floats are fractional and alternate in sign,
+// bools are true, a string is as long as its position. It walks v itself
+// rather than trusting the codec's layout, so a field the codec skips
+// keeps its value here and makes the round trip differ.
+func fillLeaves(v reflect.Value, n *int) {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		*n++
+		sign := int64(1 - 2*(*n%2)) // -1, +1, -1, ...
+		switch f.Kind() {
+		case reflect.Struct:
+			fillLeaves(f, n)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(sign * int64(*n) * 1_000_003)
+		case reflect.Float64:
+			f.SetFloat(float64(sign) * (float64(*n) + 0.3125))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString(strings.Repeat("k", *n))
+		default:
+			panic("fillLeaves: unhandled kind " + f.Kind().String())
+		}
+	}
+}
+
+func storedOf(res *sim.Result) storedResult {
+	return storedResult{Stats: res.Stats, Demand: res.Demand, Capacity: res.Capacity, Kernel: res.Kernel}
+}
+
+// filledResult is a Result whose every stored field holds a distinct
+// non-zero value (see fillLeaves), with Cycles positive as decodeResult
+// requires.
+func filledResult() *sim.Result {
+	var sr storedResult
+	n := 0
+	fillLeaves(reflect.ValueOf(&sr).Elem(), &n)
+	sr.Stats.Cycles = 1 << 40
+	return &sim.Result{Stats: sr.Stats, Demand: sr.Demand, Capacity: sr.Capacity, Kernel: sr.Kernel}
+}
+
+// TestStoredResultRoundTripsEveryField encodes a storedResult whose every
+// leaf holds a distinct non-zero value and requires the decode to equal it.
+func TestStoredResultRoundTripsEveryField(t *testing.T) {
+	want := filledResult()
+	data := encodeResult(want)
+	got, err := decodeResult(quickPoint(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(storedOf(got), storedOf(want)) {
+		t.Errorf("round trip differs:\n got %+v\nwant %+v", storedOf(got), storedOf(want))
+	}
+	if n := resultLayout.fixed + len(want.Kernel); len(data) != n {
+		t.Errorf("payload is %d bytes, layout says %d", len(data), n)
+	}
+}
+
+// TestStoredResultRejectsBadLength asserts that a payload one byte short,
+// one byte long or empty is a decode error, and that the engine answers
+// such an entry by recomputing and overwriting it.
+func TestStoredResultRejectsBadLength(t *testing.T) {
+	p := quickPoint()
+	res, err := NewEngine().Eval(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := encodeResult(res)
+	for name, data := range map[string][]byte{
+		"truncated":  good[:len(good)-1],
+		"extra byte": append(append([]byte(nil), good...), 0),
+		"empty":      nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := decodeResult(p, data); err == nil {
+				t.Fatal("decode accepted a payload of the wrong length")
+			}
+			dir := t.TempDir()
+			if err := openTestStore(t, dir).Put(p.canon().storeKey(), data); err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngineWithStore(openTestStore(t, dir))
+			if _, err := e.Eval(context.Background(), p); err != nil {
+				t.Fatal(err)
+			}
+			if e.Sims() != 1 || e.StoreHits() != 0 {
+				t.Errorf("bad payload: sims=%d hits=%d, want a recompute (1/0)", e.Sims(), e.StoreHits())
+			}
+			healed := NewEngineWithStore(openTestStore(t, dir))
+			if _, err := healed.Eval(context.Background(), p); err != nil {
+				t.Fatal(err)
+			}
+			if healed.Sims() != 0 || healed.StoreHits() != 1 {
+				t.Errorf("after the recompute: sims=%d hits=%d, want the overwritten entry (0/1)", healed.Sims(), healed.StoreHits())
+			}
+		})
+	}
+}
+
+// TestLayoutFingerprintTracksFields asserts the fingerprint StoreVersion
+// folds in depends on the field list: one added or retyped field changes
+// it, while the type's own name does not.
+func TestLayoutFingerprintTracksFields(t *testing.T) {
+	type inner struct{ A, B int64 }
+	type base struct {
+		In inner
+		X  float64
+		S  string
+	}
+	type sameShape struct {
+		In inner
+		X  float64
+		S  string
+	}
+	type oneMore struct {
+		In inner
+		X  float64
+		S  string
+		Y  bool
+	}
+	type retyped struct {
+		In inner
+		X  int64
+		S  string
+	}
+	fp := func(v any) string { return layoutOf(reflect.TypeOf(v)).fingerprint }
+	if fp(base{}) != fp(sameShape{}) {
+		t.Error("fingerprint depends on the type name, not only its fields")
+	}
+	if fp(base{}) == fp(oneMore{}) {
+		t.Error("an added field left the fingerprint unchanged")
+	}
+	if fp(base{}) == fp(retyped{}) {
+		t.Error("a retyped field left the fingerprint unchanged")
+	}
+	if !strings.HasSuffix(StoreVersion(), "/"+resultLayout.fingerprint) {
+		t.Errorf("StoreVersion %q does not carry the layout fingerprint %q", StoreVersion(), resultLayout.fingerprint)
+	}
+}
+
+// FuzzStoredResult feeds arbitrary bytes to decodeResult. It must never
+// panic; a payload it accepts must re-encode to exactly the same bytes.
+func FuzzStoredResult(f *testing.F) {
+	p := quickPoint()
+	f.Add(encodeResult(filledResult()))
+	f.Add(encodeResult(&sim.Result{Stats: sim.Stats{Cycles: 1}}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := decodeResult(p, data)
+		if err != nil {
+			return
+		}
+		if again := encodeResult(res); !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n  in %x\n out %x", data, again)
+		}
+	})
 }

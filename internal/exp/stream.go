@@ -25,6 +25,11 @@ type StreamResult struct {
 // fires; points not yet delivered are simply absent — the caller counts
 // them as cancelled). RunBatch is a drain of this stream.
 //
+// The channel is buffered to the number of points, so a worker never waits
+// on the consumer: warm results pile up while the consumer writes, and a
+// consumer that flushes only when its next receive would block (the sweep
+// handler) gets them in bursts whatever the scheduler's interleaving.
+//
 // Dispatch follows batchOrderIdx (warm first in declaration order, cold
 // sorted by compiled-kernel identity), so a multi-kernel grid compiles
 // each kernel once instead of racing the workers into many compile misses.
@@ -40,14 +45,12 @@ func (e *Engine) EvalStream(ctx context.Context, workers int, pts []Point) <-cha
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(chan StreamResult)
+	out := make(chan StreamResult, len(pts))
 	go func() {
 		defer close(out)
+		// Every point is emitted at most once, so a send never blocks.
 		emit := func(idx int, res *sim.Result, err error) {
-			select {
-			case out <- StreamResult{Index: idx, Point: pts[idx], Res: res, Err: err}:
-			case <-ctx.Done():
-			}
+			out <- StreamResult{Index: idx, Point: pts[idx], Res: res, Err: err}
 		}
 
 		// Pass 1: kernel-batched dispatch, deferring lease-contended points.

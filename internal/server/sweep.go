@@ -253,35 +253,50 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sum := SweepSummary{Type: "summary", Points: len(pts)}
 	stream := s.cfg.Engine.EvalStream(ctx, req.Parallelism, pts)
 	done := 0
+	// Records are flushed once per burst: every record already on the
+	// stream is written first, and the flush happens when the next receive
+	// would block, so no record waits behind one still being computed.
+	unflushed := false
 	for stream != nil {
+		var res exp.StreamResult
+		var ok bool
 		select {
-		case res, ok := <-stream:
-			if !ok {
-				stream = nil
+		case res, ok = <-stream:
+		default:
+			if unflushed {
+				flush()
+				unflushed = false
+			}
+			select {
+			case res, ok = <-stream:
+			case <-ticker.C:
+				enc.Encode(SweepHeartbeat{ //nolint:errcheck // client gone → ctx fires; stream drains
+					Type: "heartbeat", ElapsedMS: time.Since(start).Milliseconds(),
+					Done: done, Total: len(pts),
+				})
+				flush()
 				continue
 			}
-			done++
-			rec := sweepRecord(&req, res)
-			if res.Err != nil {
-				sum.Errors++
-				sum.Failures = append(sum.Failures, SweepFail{
-					Index: res.Index, Kind: rec.Error.Kind, Message: rec.Error.Message,
-				})
-			} else {
-				sum.OK++
-				if res.Res.Truncated {
-					sum.Truncated = append(sum.Truncated, res.Index)
-				}
-			}
-			enc.Encode(rec) //nolint:errcheck // client gone → ctx fires; stream drains
-			flush()
-		case <-ticker.C:
-			enc.Encode(SweepHeartbeat{ //nolint:errcheck // as above
-				Type: "heartbeat", ElapsedMS: time.Since(start).Milliseconds(),
-				Done: done, Total: len(pts),
-			})
-			flush()
 		}
+		if !ok {
+			stream = nil
+			continue
+		}
+		done++
+		rec := sweepRecord(&req, res)
+		if res.Err != nil {
+			sum.Errors++
+			sum.Failures = append(sum.Failures, SweepFail{
+				Index: res.Index, Kind: rec.Error.Kind, Message: rec.Error.Message,
+			})
+		} else {
+			sum.OK++
+			if res.Res.Truncated {
+				sum.Truncated = append(sum.Truncated, res.Index)
+			}
+		}
+		enc.Encode(rec) //nolint:errcheck // as above
+		unflushed = true
 	}
 	sum.Cancelled = len(pts) - done
 	sum.DurationMS = time.Since(start).Milliseconds()

@@ -418,3 +418,52 @@ func TestValidationErrorsAreNeverMemoized(t *testing.T) {
 	}
 	unchanged("after the sweep retry", 2, 2)
 }
+
+// flushCounter is a ResponseWriter that counts the handler's flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestSweepWarmRecordsShareFlushes asserts that a fully memo-warm sweep
+// reaches the client in fewer flushes than it has points: records that are
+// ready together are written together and flushed once.
+func TestSweepWarmRecordsShareFlushes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	s, err := New(Config{Engine: exp.NewEngine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(map[string]any{
+		"designs":    []string{"BL", "LTRF"},
+		"workloads":  []string{"vectoradd", "sgemm", "btree"},
+		"latency_xs": []float64{1, 2, 4, 6},
+		"budget":     2000,
+	})
+	const n = 2 * 3 * 4
+	sweep := func() *flushCounter {
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body)
+		}
+		lines := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
+		if len(lines) != n+1 || !strings.HasPrefix(lines[n], `{"type":"summary","points":24,"ok":24,`) {
+			t.Fatalf("got %d lines ending %q, want %d results and an all-ok summary", len(lines), lines[len(lines)-1], n)
+		}
+		return w
+	}
+	sweep() // cold: memoizes every point
+	if warm := sweep(); warm.flushes >= n {
+		t.Errorf("memo-warm %d-point sweep flushed %d times, want fewer than one per record", n, warm.flushes)
+	} else {
+		t.Logf("memo-warm %d-point sweep: %d flushes", n, warm.flushes)
+	}
+}
