@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 
 	"ltrf/internal/sim"
 )
@@ -34,23 +35,43 @@ func StoreVersion() string {
 
 // storeKey renders the canonical (post-canon) point as the store's
 // user-level key. Field order is fixed and every field is explicit, so the
-// key — and with it the content address — is total over Point.
+// key — and with it the content address — is total over Point. The key is
+// built with strconv appends and must stay byte-identical to its original
+// fmt rendering ("design=%s;tech=%d;latx=%g;..."; TestStoreKeyMatchesFmt
+// keeps that rendering as the oracle): any drift misses every stored entry.
 func (p Point) storeKey() string {
-	key := fmt.Sprintf("design=%s;tech=%d;latx=%g;wl=%s;unroll=%d;budget=%d;rpi=%d;aw=%d",
-		p.Design.Name(), p.Tech, p.LatencyX, p.Workload, p.Unroll, p.Budget,
-		p.RegsPerInterval, p.ActiveWarps)
+	b := make([]byte, 0, 128)
+	b = append(b, "design="...)
+	b = append(b, p.Design.Name()...)
+	b = append(b, ";tech="...)
+	b = strconv.AppendInt(b, int64(p.Tech), 10)
+	b = append(b, ";latx="...)
+	b = strconv.AppendFloat(b, p.LatencyX, 'g', -1, 64) // %g
+	b = append(b, ";wl="...)
+	b = append(b, p.Workload...)
+	b = append(b, ";unroll="...)
+	b = strconv.AppendInt(b, int64(p.Unroll), 10)
+	b = append(b, ";budget="...)
+	b = strconv.AppendInt(b, p.Budget, 10)
+	b = append(b, ";rpi="...)
+	b = strconv.AppendInt(b, int64(p.RegsPerInterval), 10)
+	b = append(b, ";aw="...)
+	b = strconv.AppendInt(b, int64(p.ActiveWarps), 10)
 	// Appended only when non-default (post-canon), so every pre-axis store
 	// address stays reachable without a schema bump.
 	if p.Scheduler != "" {
-		key += fmt.Sprintf(";sched=%s", p.Scheduler)
+		b = append(b, ";sched="...)
+		b = append(b, p.Scheduler...)
 	}
 	if p.Prefetch != "" {
-		key += fmt.Sprintf(";pref=%s", p.Prefetch)
+		b = append(b, ";pref="...)
+		b = append(b, p.Prefetch...)
 	}
 	if p.CTAs != 0 {
-		key += fmt.Sprintf(";ctas=%d", p.CTAs)
+		b = append(b, ";ctas="...)
+		b = strconv.AppendInt(b, int64(p.CTAs), 10)
 	}
-	return key
+	return string(b)
 }
 
 // storedResult is the persisted payload: the simulation's statistics and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -431,4 +432,50 @@ func FuzzStoredResult(f *testing.F) {
 			t.Fatalf("accepted payload re-encodes differently:\n  in %x\n out %x", data, again)
 		}
 	})
+}
+
+// storeKeyFmt is storeKey's original fmt rendering, kept as the oracle the
+// strconv version must match byte for byte: a key that drifts misses every
+// entry an older build stored.
+func storeKeyFmt(p Point) string {
+	key := fmt.Sprintf("design=%s;tech=%d;latx=%g;wl=%s;unroll=%d;budget=%d;rpi=%d;aw=%d",
+		p.Design.Name(), p.Tech, p.LatencyX, p.Workload, p.Unroll, p.Budget,
+		p.RegsPerInterval, p.ActiveWarps)
+	if p.Scheduler != "" {
+		key += fmt.Sprintf(";sched=%s", p.Scheduler)
+	}
+	if p.Prefetch != "" {
+		key += fmt.Sprintf(";pref=%s", p.Prefetch)
+	}
+	if p.CTAs != 0 {
+		key += fmt.Sprintf(";ctas=%d", p.CTAs)
+	}
+	return key
+}
+
+// TestStoreKeyMatchesFmt compares storeKey with its fmt oracle over a grid
+// that sets every optional axis, and over latency multipliers whose %g
+// rendering switches between plain and exponent forms.
+func TestStoreKeyMatchesFmt(t *testing.T) {
+	for _, d := range []sim.Design{"", sim.DesignBL, sim.DesignLTRF} {
+		for _, latX := range []float64{1, 6.3, 0.5, 1e-7, 1e21, 2.0 / 3} {
+			for _, sched := range []sim.Scheduler{"", sim.SchedStatic} {
+				for _, pref := range []string{"", "cta"} {
+					for _, ctas := range []int{0, 2} {
+						for _, knobs := range [][2]int{{0, 0}, {16, 8}} {
+							p := Point{
+								Design: d, Tech: 7, LatencyX: latX, Workload: "sgemm",
+								Unroll: 4, Budget: 40000,
+								RegsPerInterval: knobs[0], ActiveWarps: knobs[1],
+								Scheduler: sched, Prefetch: pref, CTAs: ctas,
+							}
+							if got, want := p.storeKey(), storeKeyFmt(p); got != want {
+								t.Fatalf("storeKey(%+v)\n got %q\nwant %q", p, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

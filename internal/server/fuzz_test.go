@@ -20,6 +20,8 @@ import (
 // the answer is a client error, a result, or one of the documented
 // shedding and deadline states — never a 500 or a panic — and a rejected
 // body (400, 413) neither runs a simulation nor records an engine failure.
+// A body answered 200 is posted again, and the repeat (served from the
+// stored bytes) must be the same 200 body byte for byte.
 //
 // The server's short DefaultTimeout turns a huge valid budget into a 504;
 // the request's own context bounds bodies that ask for a long timeout_ms.
@@ -41,7 +43,8 @@ func FuzzEvalRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// The fault-injection designs this binary registers answer 500 and
 		// hang on purpose; their contract is TestEvalPanicIsStructured500's.
-		// The server's decoder reads the first JSON value, so this one does.
+		// Decoding only the first JSON value also skips the bodies that name
+		// one and that the server rejects for trailing data.
 		var req EvalRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
 			if d, err := regfile.Lookup(req.Design); err == nil &&
@@ -55,11 +58,15 @@ func FuzzEvalRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		r := httptest.NewRequest(http.MethodPost, "/v1/eval", bytes.NewReader(body)).WithContext(ctx)
-		w := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(w, r)
+		post := func() *httptest.ResponseRecorder {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			r := httptest.NewRequest(http.MethodPost, "/v1/eval", bytes.NewReader(body)).WithContext(ctx)
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, r)
+			return w
+		}
+		w := post()
 
 		switch w.Code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
@@ -74,6 +81,11 @@ func FuzzEvalRequest(f *testing.F) {
 			}
 			if n := eng.Failures(); n != 0 {
 				t.Fatalf("body %q: rejected with %d after %d engine failures", body, w.Code, n)
+			}
+		}
+		if w.Code == http.StatusOK {
+			if again := post(); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), w.Body.Bytes()) {
+				t.Fatalf("body %q: repeat answered %d %s, first 200 %s", body, again.Code, again.Body.Bytes(), w.Body.Bytes())
 			}
 		}
 	})

@@ -24,11 +24,13 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -88,6 +90,12 @@ type Server struct {
 	// hardcoded guess.
 	svcMu   sync.Mutex
 	svcMean time.Duration
+
+	// bodies maps each parsed exp.Point /v1/eval has answered with a
+	// result to its encoded answers (*evalBodies). An entry exists only
+	// for a point the engine has memoized, which it never evicts, so
+	// neither is this map.
+	bodies sync.Map
 }
 
 // New validates the config and returns a server.
@@ -170,15 +178,23 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, req any, timeoutM
 	}
 }
 
-// accept is begin's gate: a body over the MaxBodyBytes cap is 413, a body
-// that is not exactly one request (unknown fields included) is 400, a
-// timeout_ms outside [0, maxTimeoutMS] or a request parse rejects is 400,
+// accept is begin's gate: a body over the MaxBodyBytes cap is 413; a body
+// that is not exactly one JSON object of the request's fields is 400
+// (unknown fields, or anything but whitespace after the object); a
+// timeout_ms outside [0, maxTimeoutMS] or a request parse rejects is 400;
 // and admission may shed (429/503). A nil release means the response has
 // been written; otherwise the caller owns an evaluation slot.
 func (s *Server) accept(w http.ResponseWriter, r *http.Request, req any, timeoutMS *int64, parse func() error) (release func()) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
+		writeDecodeErr(w, err)
+		return nil
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the request object")
+		}
 		writeDecodeErr(w, err)
 		return nil
 	}
@@ -239,11 +255,26 @@ type errorBody struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON renders v as every unary response carries it: indented by
+// two spaces, with a trailing newline. A value that does not encode
+// renders as no bytes.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // an unencodable value yields no body; the status stands
+	return buf.Bytes()
+}
+
+// writeBody writes an encoded response with one Write, leaving net/http to
+// choose between Content-Length and chunking.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	w.Write(body) //nolint:errcheck // client gone; nothing to do
 }
 
 func writeErr(w http.ResponseWriter, status int, kind, msg string) {
@@ -404,7 +435,10 @@ func parsePoint(req *EvalRequest) (exp.Point, error) {
 }
 
 // handleEval serves POST /v1/eval: one point, answered as its
-// EvalResponse (200), the truncated 422, or the evaluation error.
+// EvalResponse (200), the truncated 422, or the evaluation error. Every
+// request runs the whole prologue (decode, validation, admission,
+// deadline); a point already answered with a result is then written from
+// its stored bytes without calling the engine.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
 	var pt exp.Point
@@ -417,21 +451,52 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	defer end()
 
-	res, err := s.cfg.Engine.Eval(ctx, pt)
+	b, err := s.bodiesFor(ctx, pt)
 	if err != nil {
 		s.writeEvalError(w, err)
 		return
 	}
+	if b.truncated != nil && !req.AllowTruncated {
+		writeBody(w, http.StatusUnprocessableEntity, b.truncated)
+		return
+	}
+	writeBody(w, http.StatusOK, b.ok)
+}
+
+// evalBodies is one point's encoded /v1/eval answers. A memoized result
+// never changes, and neither do these bytes.
+type evalBodies struct {
+	ok []byte // the 200 body
+	// truncated is the 422 body a truncated result answers without
+	// allow_truncated (nil when the result is not truncated). It is kept
+	// beside ok rather than encoded on demand so that every repeat, 422s
+	// included, skips both the engine and the encoder; only the rare
+	// truncated point pays for the second body.
+	truncated []byte
+}
+
+// bodiesFor returns pt's stored answers, evaluating and encoding them on
+// the first request. Only a result is stored: an evaluation error is
+// returned and encoded per request, as the engine reports it.
+func (s *Server) bodiesFor(ctx context.Context, pt exp.Point) (*evalBodies, error) {
+	if b, ok := s.bodies.Load(pt); ok {
+		return b.(*evalBodies), nil
+	}
+	res, err := s.cfg.Engine.Eval(ctx, pt)
+	if err != nil {
+		return nil, err
+	}
 	resp := evalResponse(pt, res)
-	if res.Truncated && !req.AllowTruncated {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]errorBody{"error": {
+	b := &evalBodies{ok: encodeJSON(resp)}
+	if res.Truncated {
+		b.truncated = encodeJSON(map[string]errorBody{"error": {
 			Kind:    "truncated",
 			Message: "simulation hit the cycle cap before its instruction budget; stats are a lower bound (set allow_truncated to accept)",
 			Result:  &resp,
 		}})
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	stored, _ := s.bodies.LoadOrStore(pt, b)
+	return stored.(*evalBodies), nil
 }
 
 func evalResponse(pt exp.Point, res *sim.Result) EvalResponse {

@@ -123,6 +123,12 @@ func TestEvalValidationIs400BeforeSimulation(t *testing.T) {
 			t.Errorf("%v: status = %d (%v), want 400", c, code, m)
 		}
 	}
+	// A valid request followed by anything but whitespace is not one request.
+	for _, body := range trailingDataBodies(`{"design":"BL","workload":"vectoradd","budget":1000}`) {
+		if code, got, _ := postRaw(t, ts.URL+"/v1/eval", body); code != http.StatusBadRequest {
+			t.Errorf("%q: status = %d (%s), want 400", body, code, got)
+		}
+	}
 	if n := srv.cfg.Engine.Sims(); n != 0 {
 		t.Errorf("validation burned %d simulations, want 0", n)
 	}

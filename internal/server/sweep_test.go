@@ -213,6 +213,11 @@ func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
+	for _, body := range trailingDataBodies(`{"designs":["BL"],"workloads":["vectoradd"],"budget":1000}`) {
+		if code, got, _ := postRaw(t, ts.URL+"/v1/sweep", body); code != http.StatusBadRequest {
+			t.Errorf("%q: status = %d (%s), want 400", body, code, got)
+		}
+	}
 	if n := srv.cfg.Engine.Sims(); n != 0 {
 		t.Errorf("validation burned %d simulations, want 0", n)
 	}
