@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"ltrf/internal/exp"
+	"ltrf/internal/sim"
 	"ltrf/internal/store"
+	"ltrf/internal/workloads"
 )
 
 // postRaw sends body as is and returns the status, the raw response body
@@ -32,32 +34,56 @@ func postRaw(t *testing.T, url, body string) (int, []byte, string) {
 	return resp.StatusCode, data, resp.Header.Get("Content-Type")
 }
 
-// referenceEvalBody is the 200 body of req computed without the server's
-// stored bytes: a direct Eval on a fresh engine, encoded as unary
-// responses are (two-space indent, trailing newline).
-func referenceEvalBody(t *testing.T, req EvalRequest) []byte {
-	t.Helper()
-	pt, err := parsePoint(&req)
-	if err != nil {
-		t.Fatal(err)
+// defaultAxesPoint is the point a /v1/eval request naming only a design,
+// a workload, a latency multiplier and a budget asks for, built literally
+// rather than by the server's point constructor.
+func defaultAxesPoint(design, workload string, latX float64, budget int64) exp.Point {
+	return exp.Point{
+		Design: sim.Design(design), Tech: 1, LatencyX: latX,
+		Workload: workload, Unroll: workloads.UnrollMaxwell, Budget: budget,
 	}
+}
+
+// referenceEvalBodies are pt's /v1/eval bodies computed without the
+// server: a direct Eval on a fresh engine, encoded as a literal 12-field
+// EvalResponse the way unary responses are (two-space indent, trailing
+// newline). ok is the 200 body; truncated is the 422 body a truncated
+// result answers without allow_truncated (nil otherwise).
+func referenceEvalBodies(t *testing.T, pt exp.Point) (ok, truncated []byte) {
+	t.Helper()
 	res, err := exp.NewEngine().Eval(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(evalResponse(pt, res)); err != nil {
-		t.Fatal(err)
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	return buf.Bytes()
+	resp := EvalResponse{
+		Design: res.Design.Name(), Workload: pt.Workload, Tech: pt.Tech, LatencyX: pt.LatencyX,
+		Budget: pt.Budget, IPC: res.IPC, Cycles: res.Cycles, Instrs: res.Instrs,
+		Truncated: res.Truncated, Warps: res.Warps, Capacity: res.Capacity, Stats: res.Stats,
+	}
+	if res.Truncated {
+		truncated = encode(map[string]errorBody{"error": {
+			Kind:    "truncated",
+			Message: "simulation hit the cycle cap before its instruction budget; stats are a lower bound (set allow_truncated to accept)",
+			Result:  &resp,
+		}})
+	}
+	return encode(resp), truncated
 }
 
-// TestEvalBodyByteIdentical asserts a point's /v1/eval body is the same
-// bytes whether it was simulated, served from the server's stored bytes,
-// or read from the persistent store by a fresh server, and that those
-// bytes are an independent encoding of a direct evaluation.
+// TestEvalBodyByteIdentical asserts a default-axis point's /v1/eval body
+// is the same bytes whether it was simulated, served from the server's
+// stored bytes, or read from the persistent store by a fresh server, and
+// that those bytes are an independent encoding of a direct evaluation:
+// the 200 of a full run, and the 422 of a truncated one.
 func TestEvalBodyByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *exp.Engine {
@@ -67,29 +93,43 @@ func TestEvalBodyByteIdentical(t *testing.T) {
 		}
 		return exp.NewEngineWithStore(s)
 	}
-	const body = `{"design":"LTRF","workload":"sgemm","latency_x":4,"budget":3000}`
-	want := referenceEvalBody(t, EvalRequest{Design: "LTRF", Workload: "sgemm", LatencyX: 4, Budget: 3000})
+	okBody, _ := referenceEvalBodies(t, defaultAxesPoint("LTRF", "sgemm", 4, 3000))
+	// TestEvalTruncated422's point: BL at 64x latency hits the cycle cap.
+	_, truncBody := referenceEvalBodies(t, defaultAxesPoint("BL", "sgemm", 64, 12000))
+	if truncBody == nil {
+		t.Fatal("BL/sgemm at 64x is no longer truncated; pick another 422 point")
+	}
+	points := []struct {
+		body string
+		code int
+		want []byte
+	}{
+		{`{"design":"LTRF","workload":"sgemm","latency_x":4,"budget":3000}`, http.StatusOK, okBody},
+		{`{"design":"BL","workload":"sgemm","latency_x":64,"budget":12000}`, http.StatusUnprocessableEntity, truncBody},
+	}
 
 	srv1, ts1 := newTestServer(t, Config{Engine: open()})
 	srv2, ts2 := newTestServer(t, Config{Engine: open()})
-	for _, c := range []struct{ name, url string }{
-		{"cold", ts1.URL},
-		{"memo-warm", ts1.URL},
-		{"store-warm", ts2.URL},
-	} {
-		code, got, ctype := postRaw(t, c.url+"/v1/eval", body)
-		if code != http.StatusOK || ctype != "application/json" {
-			t.Fatalf("%s: status %d, Content-Type %q: %s", c.name, code, ctype, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s body differs from the direct encoding:\n got %s\nwant %s", c.name, got, want)
+	for _, p := range points {
+		for _, c := range []struct{ name, url string }{
+			{"cold", ts1.URL},
+			{"memo-warm", ts1.URL},
+			{"store-warm", ts2.URL},
+		} {
+			code, got, ctype := postRaw(t, c.url+"/v1/eval", p.body)
+			if code != p.code || ctype != "application/json" {
+				t.Fatalf("%s %s: status %d, Content-Type %q, want %d: %s", p.body, c.name, code, ctype, p.code, got)
+			}
+			if !bytes.Equal(got, p.want) {
+				t.Errorf("%s %s body differs from the direct encoding:\n got %s\nwant %s", p.body, c.name, got, p.want)
+			}
 		}
 	}
-	if n := srv1.cfg.Engine.Sims(); n != 1 {
-		t.Errorf("first server simulated %d times, want 1", n)
+	if n := srv1.cfg.Engine.Sims(); n != int64(len(points)) {
+		t.Errorf("first server simulated %d times, want %d", n, len(points))
 	}
-	if sims, hits := srv2.cfg.Engine.Sims(), srv2.cfg.Engine.StoreHits(); sims != 0 || hits != 1 {
-		t.Errorf("restarted server: %d sims, %d store hits, want 0 and 1", sims, hits)
+	if sims, hits := srv2.cfg.Engine.Sims(), srv2.cfg.Engine.StoreHits(); sims != 0 || hits != int64(len(points)) {
+		t.Errorf("restarted server: %d sims, %d store hits, want 0 and %d", sims, hits, len(points))
 	}
 }
 
@@ -126,20 +166,21 @@ func TestEvalTruncatedRepeatsByteIdentical(t *testing.T) {
 // point's reference body.
 func TestEvalStoredBodiesConcurrent(t *testing.T) {
 	var reqs []EvalRequest
+	var want [][]byte
 	for _, d := range []string{"BL", "LTRF"} {
 		for _, latX := range []float64{1, 3} {
 			reqs = append(reqs, EvalRequest{Design: d, Workload: "vectoradd", LatencyX: latX, Budget: 1500})
+			ok, _ := referenceEvalBodies(t, defaultAxesPoint(d, "vectoradd", latX, 1500))
+			want = append(want, ok)
 		}
 	}
 	bodies := make([]string, len(reqs))
-	want := make([][]byte, len(reqs))
 	for i, r := range reqs {
 		data, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bodies[i] = string(data)
-		want[i] = referenceEvalBody(t, r)
 	}
 
 	_, ts := newTestServer(t, Config{})

@@ -35,6 +35,9 @@ func FuzzEvalRequest(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	for _, sched := range []string{"static", "flat", "twolevel", "nosuch"} {
+		f.Add([]byte(`{"design":"LTRF","workload":"vectoradd","budget":2000,"scheduler":"` + sched + `"}`))
+	}
 	f.Add([]byte(`{"design":"LTRF","workload":"sgemm","latency_x":1e300}`))
 	f.Add([]byte(`{"design":"LTRF","workload":"sgemm","budget":1e15,"timeout_ms":1e6}`))
 	f.Add([]byte(`{"design":"LTRF","workload":"sgemm"} trailing`))
@@ -112,6 +115,7 @@ func FuzzSweepRequest(f *testing.F) {
 		{"designs": []string{"LTRF"}, "workloads": []string{"sgemm"}, "techs": []int{99}},
 		{"designs": []string{"nosuch"}, "workloads": []string{"sgemm"}},
 		{"designs": []string{"BL"}},
+		{"designs": []string{"LTRF"}, "workloads": []string{"vectoradd"}, "budget": 1500, "regs_per_interval": []int{8, 16}, "active_warps": []int{4}},
 	} {
 		data, err := json.Marshal(b)
 		if err != nil {
@@ -121,6 +125,7 @@ func FuzzSweepRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"designs":["LTRF"],"workloads":["sgemm"],"budget":1e15,"timeout_ms":1e6,"parallelism":1e9}`))
 	f.Add([]byte(`{"designs":["LTRF"],"workloads":["vectoradd"]} trailing`))
+	f.Add([]byte(overflowSweepBody(512)))
 	f.Add([]byte(`not json`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {

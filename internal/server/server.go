@@ -115,6 +115,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSweepPoints <= 0 {
 		cfg.MaxSweepPoints = maxSweepPoints
 	}
+	if cfg.SweepHeartbeat <= 0 {
+		cfg.SweepHeartbeat = 10 * time.Second
+	}
 	return &Server{
 		cfg: cfg,
 		sem: make(chan struct{}, cfg.MaxInFlight),
@@ -281,8 +284,9 @@ func writeErr(w http.ResponseWriter, status int, kind, msg string) {
 	writeJSON(w, status, map[string]errorBody{"error": {Kind: kind, Message: msg}})
 }
 
-// admit performs the load-shedding gate. On success the caller owns a slot
-// and must call the returned release. A nil release means the response has
+// admit performs the load-shedding gate; only a request that finds no free
+// slot counts against MaxQueue. On success the caller owns a slot and must
+// call the returned release. A nil release means the response has
 // already been written (shed or cancelled).
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func()) {
 	if s.draining.Load() {
@@ -291,26 +295,30 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func()) 
 		writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against another replica")
 		return nil
 	}
-	if q := s.waiting.Add(1); q > int64(s.cfg.MaxQueue) {
-		s.waiting.Add(-1)
-		s.shed429.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter())
-		writeErr(w, http.StatusTooManyRequests, "overloaded", "evaluation queue is full; retry with backoff")
-		return nil
-	}
 	select {
 	case s.sem <- struct{}{}:
-		s.waiting.Add(-1)
-		start := time.Now()
-		return func() {
-			<-s.sem
-			s.observeService(time.Since(start))
+	default:
+		if q := s.waiting.Add(1); q > int64(s.cfg.MaxQueue) {
+			s.waiting.Add(-1)
+			s.shed429.Add(1)
+			w.Header().Set("Retry-After", s.retryAfter())
+			writeErr(w, http.StatusTooManyRequests, "overloaded", "evaluation queue is full; retry with backoff")
+			return nil
 		}
-	case <-r.Context().Done():
-		s.waiting.Add(-1)
-		// Client gone while queued; nothing useful to write.
-		writeErr(w, statusClientClosedRequest, "cancelled", "client disconnected while queued")
-		return nil
+		select {
+		case s.sem <- struct{}{}:
+			s.waiting.Add(-1)
+		case <-r.Context().Done():
+			s.waiting.Add(-1)
+			// Client gone while queued; nothing useful to write.
+			writeErr(w, statusClientClosedRequest, "cancelled", "client disconnected while queued")
+			return nil
+		}
+	}
+	start := time.Now()
+	return func() {
+		<-s.sem
+		s.observeService(time.Since(start))
 	}
 }
 
@@ -366,20 +374,16 @@ const (
 	defaultBudget   = 40_000
 )
 
-// EvalRequest asks for one point's result. Zero fields take defaults:
-// tech 1, latency_x 1.0, budget 40000 (the full-run experiment budget).
+// EvalRequest asks for one point's result: the ten axes of a SweepRequest,
+// one value each. A zero field is the axis default: tech 1, latency_x 1.0,
+// budget 40000 (the full-run budget), the simulator's for the other five.
 type EvalRequest struct {
-	Design          string  `json:"design"`
-	Tech            int     `json:"tech"`
-	LatencyX        float64 `json:"latency_x"`
-	Workload        string  `json:"workload"`
-	Budget          int64   `json:"budget"`
-	RegsPerInterval int     `json:"regs_per_interval"`
-	ActiveWarps     int     `json:"active_warps"`
-	// Prefetch selects the hardware prefetcher ("", "off", "stride", "cta");
-	// CTAs the resident thread blocks per SM (0 = the single-CTA default).
-	Prefetch string `json:"prefetch"`
-	CTAs     int    `json:"ctas"`
+	Design   string  `json:"design"`
+	Tech     int     `json:"tech"`
+	LatencyX float64 `json:"latency_x"`
+	Workload string  `json:"workload"`
+	Budget   int64   `json:"budget"`
+	OptionalAxes
 	// AllowTruncated opts into receiving a truncated (cycle-cap-hit) result
 	// as 200 instead of the default 422 error state.
 	AllowTruncated bool `json:"allow_truncated"`
@@ -389,11 +393,12 @@ type EvalRequest struct {
 
 // EvalResponse is a point's result.
 type EvalResponse struct {
-	Design    string    `json:"design"`
-	Workload  string    `json:"workload"`
-	Tech      int       `json:"tech"`
-	LatencyX  float64   `json:"latency_x"`
-	Budget    int64     `json:"budget"`
+	Design   string  `json:"design"`
+	Workload string  `json:"workload"`
+	Tech     int     `json:"tech"`
+	LatencyX float64 `json:"latency_x"`
+	Budget   int64   `json:"budget"`
+	OptionalAxes
 	IPC       float64   `json:"ipc"`
 	Cycles    int64     `json:"cycles"`
 	Instrs    int64     `json:"instrs"`
@@ -403,30 +408,58 @@ type EvalResponse struct {
 	Stats     sim.Stats `json:"stats"`
 }
 
-// parsePoint resolves an EvalRequest against the live registries, applies
-// the defaults, and builds the canonical point, validated by
-// exp.Point.Validate. Validation happens BEFORE evaluation so bad input is
+// OptionalAxes are the five axes a point may leave at the simulator's
+// defaults (zero values). An EvalRequest sets them, and both result records
+// (EvalResponse and SweepResultRecord) echo them, each omitted at its
+// default, so an answer names exactly the point it is.
+type OptionalAxes struct {
+	// Scheduler selects the warp scheduler ("twolevel", "static", "flat");
+	// Prefetch the hardware prefetcher ("off", "stride", "cta"); CTAs the
+	// resident thread blocks per SM.
+	Scheduler       string `json:"scheduler,omitempty"`
+	Prefetch        string `json:"prefetch,omitempty"`
+	CTAs            int    `json:"ctas,omitempty"`
+	RegsPerInterval int    `json:"regs_per_interval,omitempty"`
+	ActiveWarps     int    `json:"active_warps,omitempty"`
+}
+
+// axesOf is p's optional axes as a result record echoes them.
+func axesOf(p exp.Point) OptionalAxes {
+	return OptionalAxes{
+		Scheduler:       string(p.Scheduler),
+		Prefetch:        p.Prefetch,
+		CTAs:            p.CTAs,
+		RegsPerInterval: p.RegsPerInterval,
+		ActiveWarps:     p.ActiveWarps,
+	}
+}
+
+// newPoint is the one point constructor of /v1/eval and /v1/sweep: it
+// resolves the design and workload names against the live registries,
+// applies the budget default, and returns the canonical point if
+// exp.Point.Validate accepts it. It runs BEFORE admission, so bad input is
 // a 400, never a burned simulation slot or a memoized failure.
-func parsePoint(req *EvalRequest) (exp.Point, error) {
-	desc, err := regfile.Lookup(req.Design)
+func newPoint(design, workload string, tech int, latX float64, budget int64, ax OptionalAxes) (exp.Point, error) {
+	desc, err := regfile.Lookup(design)
 	if err != nil {
 		return exp.Point{}, err
 	}
-	w, err := workloads.ByName(req.Workload)
+	w, err := workloads.ByName(workload)
 	if err != nil {
 		return exp.Point{}, err
 	}
 	p := exp.Point{
 		Design:          sim.Design(desc.Name),
-		Tech:            cmp.Or(req.Tech, defaultTech),
-		LatencyX:        cmp.Or(req.LatencyX, defaultLatencyX),
+		Tech:            tech,
+		LatencyX:        latX,
 		Workload:        w.Name,
 		Unroll:          workloads.UnrollMaxwell,
-		Budget:          cmp.Or(req.Budget, defaultBudget),
-		RegsPerInterval: req.RegsPerInterval,
-		ActiveWarps:     req.ActiveWarps,
-		Prefetch:        req.Prefetch,
-		CTAs:            req.CTAs,
+		Budget:          cmp.Or(budget, defaultBudget),
+		RegsPerInterval: ax.RegsPerInterval,
+		ActiveWarps:     ax.ActiveWarps,
+		Scheduler:       sim.Scheduler(ax.Scheduler),
+		Prefetch:        ax.Prefetch,
+		CTAs:            ax.CTAs,
 	}
 	if err := p.Validate(); err != nil {
 		return exp.Point{}, err
@@ -443,7 +476,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	var req EvalRequest
 	var pt exp.Point
 	ctx, end := s.begin(w, r, &req, &req.TimeoutMS, func() (err error) {
-		pt, err = parsePoint(&req)
+		pt, err = newPoint(req.Design, req.Workload, cmp.Or(req.Tech, defaultTech),
+			cmp.Or(req.LatencyX, defaultLatencyX), req.Budget, req.OptionalAxes)
 		return err
 	})
 	if end == nil {
@@ -501,18 +535,19 @@ func (s *Server) bodiesFor(ctx context.Context, pt exp.Point) (*evalBodies, erro
 
 func evalResponse(pt exp.Point, res *sim.Result) EvalResponse {
 	return EvalResponse{
-		Design:    res.Design.Name(),
-		Workload:  pt.Workload,
-		Tech:      pt.Tech,
-		LatencyX:  pt.LatencyX,
-		Budget:    pt.Budget,
-		IPC:       res.IPC,
-		Cycles:    res.Cycles,
-		Instrs:    res.Instrs,
-		Truncated: res.Truncated,
-		Warps:     res.Warps,
-		Capacity:  res.Capacity,
-		Stats:     res.Stats,
+		Design:       res.Design.Name(),
+		Workload:     pt.Workload,
+		Tech:         pt.Tech,
+		LatencyX:     pt.LatencyX,
+		Budget:       pt.Budget,
+		OptionalAxes: axesOf(pt),
+		IPC:          res.IPC,
+		Cycles:       res.Cycles,
+		Instrs:       res.Instrs,
+		Truncated:    res.Truncated,
+		Warps:        res.Warps,
+		Capacity:     res.Capacity,
+		Stats:        res.Stats,
 	}
 }
 
@@ -567,13 +602,25 @@ type ExperimentResponse struct {
 
 // handleExperiment serves POST /v1/experiment: it renders one registered
 // artifact on the server's engine and answers the whole table as one
-// ExperimentResponse.
+// ExperimentResponse. An unknown id, design or workload is a 400.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
 	var spec exp.Spec
 	ctx, end := s.begin(w, r, &req, &req.TimeoutMS, func() (err error) {
-		spec, err = exp.ByID(req.ID)
-		return err
+		if spec, err = exp.ByID(req.ID); err != nil {
+			return err
+		}
+		for _, n := range req.Designs {
+			if _, err := regfile.Lookup(n); err != nil {
+				return err
+			}
+		}
+		for _, n := range req.Workloads {
+			if _, err := workloads.ByName(n); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if end == nil {
 		return
@@ -638,10 +685,6 @@ type StoreMeta struct {
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	var wl []string
-	for _, x := range workloads.All() {
-		wl = append(wl, x.Name)
-	}
 	var exps []string
 	for _, spec := range exp.Registry() {
 		exps = append(exps, spec.ID)
@@ -649,7 +692,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	eng := s.cfg.Engine
 	meta := MetaResponse{
 		Designs:     regfile.Names(),
-		Workloads:   wl,
+		Workloads:   workloads.Names(),
 		Experiments: exps,
 		Sims:        eng.Sims(),
 		StoreHits:   eng.StoreHits(),

@@ -98,6 +98,8 @@ var invalidEvalBodies = []map[string]any{
 	{"design": "LTRF", "workload": "nosuch"},
 	{"design": "LTRF", "workload": "sgemm", "tech": 99},
 	{"design": "LTRF", "workload": "sgemm", "latency_x": -1},
+	{"design": "LTRF", "workload": "sgemm", "scheduler": "nosuch"},
+	{"design": "LTRF", "workload": "sgemm", "prefetch": "nosuch"},
 	{"design": "LTRF", "workload": "sgemm", "budget": -5},
 	{"design": "LTRF", "workload": "sgemm", "bogus_field": 1},
 	// Out of the simulator's range: interval budgets below its minimum
@@ -247,6 +249,28 @@ func TestShedding(t *testing.T) {
 		t.Error("shed counter not incremented")
 	}
 	wg.Wait()
+}
+
+// TestAdmitFreeSlotWithFullQueue asserts a request that finds a free slot
+// is admitted however many requests the queue counts: only a request that
+// finds no slot waits, so only it counts against MaxQueue. (Counting every
+// arrival let two simultaneous requests at an idle one-slot server shed
+// one of them with the queue empty.)
+func TestAdmitFreeSlotWithFullQueue(t *testing.T) {
+	srv, err := New(Config{Engine: exp.NewEngine(), MaxInFlight: 1, MaxQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.waiting.Store(1)
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/eval",
+		strings.NewReader(`{"design":"LTRF","workload":"vectoradd","budget":2000}`)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d with a free slot and a full queue, want 200: %s", w.Code, w.Body.Bytes())
+	}
+	if n, q := srv.shed429.Load(), srv.waiting.Load(); n != 0 || q != 1 {
+		t.Errorf("shed %d, waiting %d after the request, want 0 and 1", n, q)
+	}
 }
 
 // TestRetryAfterDerivedFromServiceTime pins the backoff arithmetic: the
@@ -408,6 +432,8 @@ func TestExperimentEndpoint(t *testing.T) {
 
 	for _, body := range []map[string]any{
 		{"id": "nosuch"},
+		{"id": "figure9", "quick": true, "workloads": []string{"nosuch"}},
+		{"id": "designspace", "quick": true, "designs": []string{"nosuch"}},
 		{"id": "figure9", "timeout_ms": 18446744073710},
 		{"id": "figure9", "timeout_ms": -5},
 	} {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,9 +8,7 @@ import (
 	"time"
 
 	"ltrf/internal/exp"
-	"ltrf/internal/regfile"
 	"ltrf/internal/sim"
-	"ltrf/internal/workloads"
 )
 
 // POST /v1/sweep evaluates a whole design-space grid in one request and
@@ -35,7 +32,8 @@ import (
 // internal fan-out is bounded by the request's parallelism field.
 
 // SweepRequest declares the grid as per-axis value lists; the grid is their
-// cross product. Empty optional axes contribute their default value only.
+// cross product. It names the same ten axes an EvalRequest does, and an
+// empty optional list contributes that axis's default value only.
 type SweepRequest struct {
 	// Designs and Workloads are required, validated against the registries.
 	Designs   []string `json:"designs"`
@@ -47,10 +45,12 @@ type SweepRequest struct {
 	// Budget is the per-point dynamic-instruction budget (default 40000).
 	Budget int64 `json:"budget,omitempty"`
 	// Optional axes: scheduler variants, hardware-prefetch modes, resident
-	// CTAs per SM.
-	Schedulers []string `json:"schedulers,omitempty"`
-	Prefetch   []string `json:"prefetch,omitempty"`
-	CTAs       []int    `json:"ctas,omitempty"`
+	// CTAs per SM, registers per prefetch interval, active warps.
+	Schedulers      []string `json:"schedulers,omitempty"`
+	Prefetch        []string `json:"prefetch,omitempty"`
+	CTAs            []int    `json:"ctas,omitempty"`
+	RegsPerInterval []int    `json:"regs_per_interval,omitempty"`
+	ActiveWarps     []int    `json:"active_warps,omitempty"`
 	// IncludeStats embeds the full sim.Stats in every result record
 	// (voluminous; off by default).
 	IncludeStats bool `json:"include_stats,omitempty"`
@@ -71,10 +71,7 @@ type SweepResultRecord struct {
 	Tech     int     `json:"tech"`
 	LatencyX float64 `json:"latency_x"`
 	Budget   int64   `json:"budget"`
-
-	Scheduler string `json:"scheduler,omitempty"`
-	Prefetch  string `json:"prefetch,omitempty"`
-	CTAs      int    `json:"ctas,omitempty"`
+	OptionalAxes
 
 	// Result fields ("result" records only).
 	IPC       float64    `json:"ipc,omitempty"`
@@ -125,14 +122,15 @@ type SweepFail struct {
 // maxSweepPoints caps the expanded grid (Config.MaxSweepPoints overrides).
 const maxSweepPoints = 4096
 
-// expandSweep resolves design and workload names against the live
-// registries, validates every axis tuple through exp.Point.Validate, and
-// expands the request to the canonical point grid. Validation happens
-// BEFORE admission, so a bad axis is a 400 and never burns an evaluation
-// slot.
+// expandSweep expands the request to the canonical point grid, building
+// every point with newPoint, so each is registry-resolved and validated
+// BEFORE admission: a bad axis is a 400 and never burns an evaluation slot.
+// The grid size is bounded while its axis lengths are multiplied, so an
+// oversized grid is a 400 however large its product.
 //
 // Expansion order (fixed, documented, index-defining): designs (outer) ×
-// techs × latency_xs × schedulers × prefetch × ctas × workloads (inner).
+// techs × latency_xs × schedulers × prefetch × ctas × regs_per_interval ×
+// active_warps × workloads (inner).
 func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	if len(req.Designs) == 0 {
 		return nil, fmt.Errorf("designs is required (at least one)")
@@ -140,81 +138,48 @@ func expandSweep(req *SweepRequest, maxPoints int) ([]exp.Point, error) {
 	if len(req.Workloads) == 0 {
 		return nil, fmt.Errorf("workloads is required (at least one)")
 	}
-	designs := make([]string, len(req.Designs))
-	for i, n := range req.Designs {
-		d, err := regfile.Lookup(n)
+	dims := [...]int{len(req.Designs), len(req.Techs), len(req.LatencyXs), len(req.Schedulers),
+		len(req.Prefetch), len(req.CTAs), len(req.RegsPerInterval), len(req.ActiveWarps), len(req.Workloads)}
+	n := 1
+	for i := range dims {
+		dims[i] = max(dims[i], 1) // an empty optional axis is its default alone
+		if n > maxPoints/dims[i] {
+			return nil, fmt.Errorf("grid expands to more than %d points, the per-sweep cap — split the request", maxPoints)
+		}
+		n *= dims[i]
+	}
+	pts := make([]exp.Point, n)
+	var ix [len(dims)]int // the odometer: one digit per axis, in expansion order
+	for k := range pts {
+		p, err := newPoint(req.Designs[ix[0]], req.Workloads[ix[8]],
+			nth(req.Techs, ix[1], defaultTech), nth(req.LatencyXs, ix[2], defaultLatencyX), req.Budget,
+			OptionalAxes{
+				Scheduler:       nth(req.Schedulers, ix[3], ""),
+				Prefetch:        nth(req.Prefetch, ix[4], ""),
+				CTAs:            nth(req.CTAs, ix[5], 0),
+				RegsPerInterval: nth(req.RegsPerInterval, ix[6], 0),
+				ActiveWarps:     nth(req.ActiveWarps, ix[7], 0),
+			})
 		if err != nil {
 			return nil, err
 		}
-		designs[i] = d.Name
-	}
-	wls := make([]string, len(req.Workloads))
-	for i, n := range req.Workloads {
-		w, err := workloads.ByName(n)
-		if err != nil {
-			return nil, err
-		}
-		wls[i] = w.Name
-	}
-	techs := req.Techs
-	if len(techs) == 0 {
-		techs = []int{defaultTech}
-	}
-	lats := req.LatencyXs
-	if len(lats) == 0 {
-		lats = []float64{defaultLatencyX}
-	}
-	budget := cmp.Or(req.Budget, defaultBudget)
-	scheds := req.Schedulers
-	if len(scheds) == 0 {
-		scheds = []string{""}
-	}
-	prefs := req.Prefetch
-	if len(prefs) == 0 {
-		prefs = []string{""}
-	}
-	ctas := req.CTAs
-	if len(ctas) == 0 {
-		ctas = []int{0}
-	}
-
-	n := len(designs) * len(techs) * len(lats) * len(scheds) * len(prefs) * len(ctas) * len(wls)
-	if n > maxPoints {
-		return nil, fmt.Errorf("grid expands to %d points, above the per-sweep cap of %d — split the request", n, maxPoints)
-	}
-	pts := make([]exp.Point, 0, n)
-	for _, d := range designs {
-		for _, tn := range techs {
-			for _, lx := range lats {
-				for _, sc := range scheds {
-					for _, pm := range prefs {
-						for _, ct := range ctas {
-							// The workload does not enter the simulator
-							// configuration: validate once per axis tuple.
-							p := exp.Point{
-								Design:    sim.Design(d),
-								Tech:      tn,
-								LatencyX:  lx,
-								Unroll:    workloads.UnrollMaxwell,
-								Budget:    budget,
-								Scheduler: sim.Scheduler(sc),
-								Prefetch:  pm,
-								CTAs:      ct,
-							}
-							if err := p.Validate(); err != nil {
-								return nil, err
-							}
-							for _, wl := range wls {
-								p.Workload = wl
-								pts = append(pts, p)
-							}
-						}
-					}
-				}
+		pts[k] = p
+		for a := len(ix) - 1; a >= 0; a-- { // the innermost digit turns fastest
+			if ix[a]++; ix[a] < dims[a] {
+				break
 			}
+			ix[a] = 0
 		}
 	}
 	return pts, nil
+}
+
+// nth is an axis list's i-th value, or def when the list is empty.
+func nth[T any](xs []T, i int, def T) T {
+	if len(xs) == 0 {
+		return def
+	}
+	return xs[i]
 }
 
 // handleSweep serves POST /v1/sweep: the expanded grid, streamed as
@@ -234,19 +199,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Points", strconv.Itoa(len(pts)))
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w) // one Encode per record; Encode appends '\n'
+	flush := http.NewResponseController(w).Flush // a writer that cannot flush makes it a no-op
+	enc := json.NewEncoder(w)                    // one Encode per record; Encode appends '\n'
 
-	heartbeat := s.cfg.SweepHeartbeat
-	if heartbeat <= 0 {
-		heartbeat = 10 * time.Second
-	}
-	ticker := time.NewTicker(heartbeat)
+	ticker := time.NewTicker(s.cfg.SweepHeartbeat)
 	defer ticker.Stop()
 
 	start := time.Now()
@@ -257,7 +213,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// stream is written first, and the flush happens when the next receive
 	// would block, so no record waits behind one still being computed.
 	unflushed := false
-	for stream != nil {
+	for {
 		var res exp.StreamResult
 		var ok bool
 		select {
@@ -279,8 +235,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if !ok {
-			stream = nil
-			continue
+			break
 		}
 		done++
 		rec := sweepRecord(&req, res)
@@ -310,15 +265,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func sweepRecord(req *SweepRequest, res exp.StreamResult) SweepResultRecord {
 	p := res.Point
 	rec := SweepResultRecord{
-		Index:     res.Index,
-		Design:    p.Design.Name(),
-		Workload:  p.Workload,
-		Tech:      p.Tech,
-		LatencyX:  p.LatencyX,
-		Budget:    p.Budget,
-		Scheduler: string(p.Scheduler),
-		Prefetch:  p.Prefetch,
-		CTAs:      p.CTAs,
+		Index:        res.Index,
+		Design:       p.Design.Name(),
+		Workload:     p.Workload,
+		Tech:         p.Tech,
+		LatencyX:     p.LatencyX,
+		Budget:       p.Budget,
+		OptionalAxes: axesOf(p),
 	}
 	if res.Err != nil {
 		rec.Type = "error"

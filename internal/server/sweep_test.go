@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -200,6 +201,9 @@ func TestSweepValidationRejectsBeforeAdmission(t *testing.T) {
 		"bad latency":     {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "latency_xs": []float64{-1}},
 		"bad scheduler":   {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "schedulers": []string{"nosuch"}},
 		"bad prefetch":    {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "prefetch": []string{"nosuch"}},
+		"bad interval":    {"designs": []string{"LTRF"}, "workloads": []string{"vectoradd"}, "regs_per_interval": []int{16, 2}},
+		"bad warps":       {"designs": []string{"LTRF"}, "workloads": []string{"vectoradd"}, "active_warps": []int{100_000}},
+		"bad late name":   {"designs": []string{"BL", "nosuch"}, "workloads": []string{"vectoradd", "nosuch"}},
 		"negative budget": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": -1},
 		// Its derived cycle stop (12 cycles per instruction) overflows int64.
 		"overflowing budget": {"designs": []string{"BL"}, "workloads": []string{"vectoradd"}, "budget": 8e17},
@@ -236,6 +240,101 @@ func TestSweepGridCapIs400(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("4-point grid under cap 3: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// overflowSweepBody is a sweep whose seven axes of the original expansion
+// each list n values: an n^7-point grid of tiny JSON. At n = 512 the
+// product is 2^63, which wraps an int to its minimum; at n = 1024 it is
+// 2^70, which wraps to 0. Either slips under a cap checked after an
+// unchecked multiplication.
+func overflowSweepBody(n int) string {
+	list := func(v string) string { return "[" + strings.Repeat(v+",", n-1) + v + "]" }
+	return fmt.Sprintf(`{"designs":%s,"workloads":%s,"techs":%s,"latency_xs":%s,"schedulers":%s,"prefetch":%s,"ctas":%s}`,
+		list(`"BL"`), list(`"vectoradd"`), list("1"), list("1"), list(`"flat"`), list(`"off"`), list("1"))
+}
+
+// TestSweepGridOverflowIs400 asserts a grid whose point count overflows an
+// int is a prompt 400 before admission, not a panic or an unbounded
+// expansion.
+func TestSweepGridOverflowIs400(t *testing.T) {
+	for _, n := range []int{512, 1024} {
+		srv, err := New(Config{Engine: exp.NewEngine()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(overflowSweepBody(n))))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%d^7 grid: status %d, want 400: %.200s", n, w.Code, w.Body.Bytes())
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%d^7 grid: answered after %v", n, d)
+		}
+		if sims := srv.cfg.Engine.Sims(); sims != 0 {
+			t.Errorf("%d^7 grid: %d simulations, want 0", n, sims)
+		}
+	}
+}
+
+// TestEvalSweepAxisParity asserts both routes build the same point for
+// each optional axis: the /v1/eval answer of a point and the record of the
+// same one-point /v1/sweep, each from its own fresh engine, carry the same
+// axes, the axis set, and the same ipc, cycles and instrs.
+func TestEvalSweepAxisParity(t *testing.T) {
+	for _, c := range []struct {
+		evalKey, sweepKey string
+		value             any
+		want              OptionalAxes
+	}{
+		{"scheduler", "schedulers", "static", OptionalAxes{Scheduler: "static"}},
+		{"scheduler", "schedulers", "flat", OptionalAxes{Scheduler: "flat"}},
+		{"prefetch", "prefetch", "stride", OptionalAxes{Prefetch: "stride"}},
+		{"prefetch", "prefetch", "cta", OptionalAxes{Prefetch: "cta"}},
+		{"ctas", "ctas", 2, OptionalAxes{CTAs: 2}},
+		{"regs_per_interval", "regs_per_interval", 8, OptionalAxes{RegsPerInterval: 8}},
+		{"active_warps", "active_warps", 4, OptionalAxes{ActiveWarps: 4}},
+	} {
+		serve := func(path string, body map[string]any) []byte {
+			t.Helper()
+			srv, err := New(Config{Engine: exp.NewEngine()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := json.Marshal(body)
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", path, data, w.Code, w.Body.Bytes())
+			}
+			return w.Body.Bytes()
+		}
+		var ev EvalResponse
+		if err := json.Unmarshal(serve("/v1/eval", map[string]any{
+			"design": "LTRF", "workload": "vectoradd", "budget": 2000, "allow_truncated": true, c.evalKey: c.value,
+		}), &ev); err != nil {
+			t.Fatal(err)
+		}
+		var rec SweepResultRecord
+		stream := serve("/v1/sweep", map[string]any{
+			"designs": []string{"LTRF"}, "workloads": []string{"vectoradd"}, "budget": 2000, c.sweepKey: []any{c.value},
+		})
+		if err := json.Unmarshal(stream[:bytes.IndexByte(stream, '\n')], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type != "result" {
+			t.Fatalf("%s %v: first sweep record is %q, want a result", c.evalKey, c.value, rec.Type)
+		}
+		if ev.OptionalAxes != c.want || rec.OptionalAxes != c.want {
+			t.Errorf("%s %v: eval echoes %+v, sweep %+v, want %+v", c.evalKey, c.value, ev.OptionalAxes, rec.OptionalAxes, c.want)
+		}
+		if ev.Design != rec.Design || ev.Workload != rec.Workload || ev.Tech != rec.Tech || ev.LatencyX != rec.LatencyX || ev.Budget != rec.Budget ||
+			ev.IPC != rec.IPC || ev.Cycles != rec.Cycles || ev.Instrs != rec.Instrs {
+			t.Errorf("%s %v: eval answered %s/%s tech %d %gx budget %d ipc %v cycles %d instrs %d; sweep %s/%s tech %d %gx budget %d ipc %v cycles %d instrs %d",
+				c.evalKey, c.value, ev.Design, ev.Workload, ev.Tech, ev.LatencyX, ev.Budget, ev.IPC, ev.Cycles, ev.Instrs,
+				rec.Design, rec.Workload, rec.Tech, rec.LatencyX, rec.Budget, rec.IPC, rec.Cycles, rec.Instrs)
+		}
 	}
 }
 
