@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -329,18 +328,48 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// errLeaseBusy is evalNoWait's deferral signal: another replica holds the
-// point's lease, so a non-blocking caller should move on and come back.
+// errLeaseBusy is the deferral signal of an evaluation without the wait
+// mode: another replica holds the point's lease, so the caller (EvalStream)
+// should move on and come back. Local singleflight still applies.
 // Like cancellation it describes the moment, not the point, so it is never
 // memoized (see isTransientEvalErr).
 var errLeaseBusy = errors.New("exp: point leased by another replica")
 
+// storeRead is what one read of a point's store entry found when it did
+// not serve the point; the zero value means the entry has not been read.
+// As an error it is a probe's miss: like errLeaseBusy it describes the
+// moment, not the point, so it is never memoized.
+type storeRead uint8
+
+const (
+	unread      storeRead = iota
+	absent                // no entry, or a corrupt one the store quarantined
+	undecodable           // an entry that passed its checksum but does not decode
+	unreadable            // the store failed after its retries
+)
+
+func (r storeRead) Error() string { return "exp: point not served from the store" }
+
+// evalMode says how far the memo leader for a point goes.
+type evalMode struct {
+	// wait blocks on another replica's lease until it publishes (Eval);
+	// without it a held lease returns errLeaseBusy for the caller to defer.
+	wait bool
+	// probe serves the point only from the store: a point with no usable
+	// entry returns the storeRead that sends it to EvalStream's cold pass.
+	probe bool
+	// from is what the probe's read found, so the cold pass starts at the
+	// lease instead of reading the entry a second time.
+	from storeRead
+}
+
 // isTransientEvalErr reports whether err reflects the circumstances of one
-// evaluation attempt (caller cancelled, lease held elsewhere) rather than a
-// property of the point — the class that must be retried by the next
-// caller, never memoized.
+// evaluation attempt (caller cancelled, lease held elsewhere, a probe's
+// miss) rather than a property of the point — the class that must be
+// retried by the next caller, never memoized.
 func isTransientEvalErr(err error) bool {
-	return isCtxErr(err) || errors.Is(err, errLeaseBusy)
+	_, miss := err.(storeRead)
+	return miss || isCtxErr(err) || errors.Is(err, errLeaseBusy)
 }
 
 // Eval returns the simulation result for a point, running it on first use
@@ -353,25 +382,30 @@ func isTransientEvalErr(err error) bool {
 // of parallelism; cancellation errors are not memoized — the point stays
 // evaluable by the next caller.
 func (e *Engine) Eval(ctx context.Context, p Point) (*sim.Result, error) {
-	return e.eval(ctx, p, true)
+	return e.eval(ctx, p, evalMode{wait: true})
 }
 
-// evalNoWait is Eval without the cross-replica wait: when another replica
-// holds the point's lease, it returns immediately with an isLeaseBusy
-// error instead of polling for the winner's publish. EvalStream uses it to
-// keep workers busy on uncontended points and revisit deferred ones once
-// the rest of the batch is dispatched (by which time they are usually
-// published store hits). Local singleflight still applies: concurrent
-// same-point callers on THIS engine share one evaluation.
-func (e *Engine) evalNoWait(ctx context.Context, p Point) (*sim.Result, error) {
-	return e.eval(ctx, p, false)
+// probe is EvalStream's first pass: it serves the point from the memo or
+// with one store read, and returns a storeRead for a point only the cold
+// pass can serve. Without a store, a point the memo does not hold is cold
+// at the cost of a map lookup.
+func (e *Engine) probe(ctx context.Context, p Point) (*sim.Result, error) {
+	if e.disk == nil {
+		e.mu.Lock()
+		_, ok := e.results[p.canon()]
+		e.mu.Unlock()
+		if !ok {
+			return nil, absent
+		}
+	}
+	return e.eval(ctx, p, evalMode{probe: true})
 }
 
-// isLeaseBusy reports whether err is evalNoWait's deferral signal: the
+// isLeaseBusy reports whether err is errLeaseBusy, the deferral signal: the
 // point is being computed by another replica right now.
 func isLeaseBusy(err error) bool { return errors.Is(err, errLeaseBusy) }
 
-func (e *Engine) eval(ctx context.Context, p Point, wait bool) (*sim.Result, error) {
+func (e *Engine) eval(ctx context.Context, p Point, m evalMode) (*sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -384,12 +418,12 @@ func (e *Engine) eval(ctx context.Context, p Point, wait bool) (*sim.Result, err
 			e.results[p] = ent
 			e.mu.Unlock()
 
-			res, err := e.evalProtected(ctx, p, wait)
+			res, err := e.evalProtected(ctx, p, m)
 			if err != nil && isTransientEvalErr(err) {
 				// Do not poison the memo with this attempt's circumstances
-				// (caller death, remote lease): unpublish the entry, then
-				// release waiters so they retry (each under its own context
-				// and wait mode) through a fresh entry.
+				// (caller death, remote lease, a probe's miss): unpublish
+				// the entry, then release waiters so they retry (each under
+				// its own context and mode) through a fresh entry.
 				e.mu.Lock()
 				delete(e.results, p)
 				e.mu.Unlock()
@@ -409,7 +443,7 @@ func (e *Engine) eval(ctx context.Context, p Point, wait bool) (*sim.Result, err
 		select {
 		case <-ent.done:
 			if ent.err != nil && isTransientEvalErr(ent.err) {
-				continue // leader cancelled or deferred; retry as the new leader
+				continue // leader cancelled, deferred or missed; retry as the new leader
 			}
 			return ent.res, ent.err
 		case <-ctx.Done():
@@ -422,63 +456,65 @@ func (e *Engine) eval(ctx context.Context, p Point, wait bool) (*sim.Result, err
 // plugin (or any simulator invariant failure) becomes a *PanicError for
 // this point instead of taking down the batch worker or the serving
 // process.
-func (e *Engine) evalProtected(ctx context.Context, p Point, wait bool) (res *sim.Result, err error) {
+func (e *Engine) evalProtected(ctx context.Context, p Point, m evalMode) (res *sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Point: p, Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 		}
 	}()
-	return e.evalStored(ctx, p, wait)
+	return e.evalStored(ctx, p, m)
 }
 
 // evalStored consults the disk store around the actual simulation: a valid
 // stored entry is rehydrated without simulating; a miss (or a corrupt /
 // undecodable entry — already quarantined by the store) falls through to
-// simulation, whose result is persisted best-effort.
+// simulation, whose result is persisted best-effort. A probe stops after
+// the read; an evaluation the probe already read for (m.from) skips it.
 //
 // Cold points additionally run the store's per-point lease protocol so N
 // replicas sharing the directory compute each point exactly once: claim
 // the lease (exclusive create) and compute on success; on ErrLeaseHeld either
 // poll Has with the store's jittered backoff until the winner publishes
-// (wait=true, re-contending each round so released/expired leases are
-// picked up), or return errLeaseBusy for the caller to defer (wait=false).
+// (m.wait, re-contending each round so released/expired leases are
+// picked up), or return errLeaseBusy for the caller to defer.
 // Lease-infrastructure failures degrade to uncoordinated compute — the
 // lease saves duplicate work; it must never block serving.
-func (e *Engine) evalStored(ctx context.Context, p Point, wait bool) (*sim.Result, error) {
+func (e *Engine) evalStored(ctx context.Context, p Point, m evalMode) (*sim.Result, error) {
 	if e.disk == nil {
+		if m.probe {
+			return nil, absent
+		}
 		return e.evalUncached(ctx, p)
 	}
 	key := p.storeKey()
-	rejected := false // an entry exists but does not decode
+	found := m.from
 	for try := 1; ; try++ {
-		// First round always reads; later rounds are waiter polls that stat
-		// (Has) before paying for a checksummed read.
-		if try == 1 || e.disk.Has(key) {
-			if data, err := e.disk.Get(key); err == nil {
-				if res, derr := decodeResult(p, data); derr == nil {
-					e.storeHits.Add(1)
-					return res, nil
-				}
-				// Undecodable or implausible payload: recompute and
-				// overwrite below. (Checksum failures never reach here —
-				// the store quarantines them and returns ErrCorrupt.)
-				rejected = true
-			} else if !errors.Is(err, store.ErrNotFound) && !errors.Is(err, store.ErrCorrupt) {
-				e.storeErrs.Add(1)
-				// The disk is misbehaving; skip lease coordination on the
-				// same disk and just serve.
-				return e.computeAndPublish(ctx, p, key, nil)
+		// The first round reads unless the probe already did; later rounds
+		// are waiter polls that stat (Has) before paying for a read.
+		if (try == 1 && found == unread) || (try > 1 && e.disk.Has(key)) {
+			res, r := e.readStored(p, key)
+			if res != nil {
+				return res, nil
 			}
+			found = r
+		}
+		if m.probe {
+			return nil, found
+		}
+		if found == unreadable {
+			// The disk is misbehaving; skip lease coordination on the
+			// same disk and just serve.
+			return e.computeAndPublish(ctx, p, key, nil)
 		}
 		lease, lerr := e.disk.AcquireLease(key, e.owner, e.leaseTTL)
 		if lerr == nil {
 			// Double-check under the lease: another replica may have
-			// published (and released) in the window between this round's
-			// miss and the acquisition — computing now would duplicate its
-			// work. Release and loop back to the read path instead — unless
-			// the entry there is one this engine could not decode, which
-			// only the recompute replaces.
-			if !rejected && e.disk.Has(key) {
+			// published (and released) in the window between the miss and
+			// the acquisition — computing now would duplicate its work.
+			// Release and loop back to the read path instead — unless the
+			// entry there is one this engine could not decode, which only
+			// the recompute replaces.
+			if found != undecodable && e.disk.Has(key) {
 				lease.Release() //nolint:errcheck // best-effort; TTL reclaims
 				continue
 			}
@@ -488,7 +524,7 @@ func (e *Engine) evalStored(ctx context.Context, p Point, wait bool) (*sim.Resul
 			e.storeErrs.Add(1)
 			return e.computeAndPublish(ctx, p, key, nil)
 		}
-		if !wait {
+		if !m.wait {
 			return nil, fmt.Errorf("%s/%s@%gx: %w", p.Design, p.Workload, p.LatencyX, errLeaseBusy)
 		}
 		select {
@@ -496,6 +532,27 @@ func (e *Engine) evalStored(ctx context.Context, p Point, wait bool) (*sim.Resul
 			return nil, ctx.Err()
 		case <-time.After(e.disk.LeasePollDelay(try)):
 		}
+	}
+}
+
+// readStored reads and decodes the point's store entry: the result on a
+// hit, else what the read found. A checksum failure never reaches the
+// decode — the store quarantines the entry and reports ErrCorrupt, which
+// reads as absent.
+func (e *Engine) readStored(p Point, key string) (*sim.Result, storeRead) {
+	data, err := e.disk.Get(key)
+	switch {
+	case err == nil:
+		if res, derr := decodeResult(p, data); derr == nil {
+			e.storeHits.Add(1)
+			return res, unread
+		}
+		return nil, undecodable
+	case errors.Is(err, store.ErrNotFound), errors.Is(err, store.ErrCorrupt):
+		return nil, absent
+	default:
+		e.storeErrs.Add(1)
+		return nil, unreadable
 	}
 }
 
@@ -549,51 +606,6 @@ func (e *Engine) evalUncached(ctx context.Context, p Point) (*sim.Result, error)
 func (e *Engine) RunBatch(ctx context.Context, o Options, pts []Point) {
 	for range e.EvalStream(ctx, o.Parallelism, pts) {
 	}
-}
-
-// batchOrderIdx orders a batch for dispatch, as a permutation of input
-// indices: points that are already warm — memoized on this engine or
-// present in the disk store — come first, in declaration order (they are
-// near-free, so shared baselines publish early), and the cold remainder is
-// stably sorted by compiled-kernel identity (workload, then unroll). Cold
-// points therefore reach the worker pool kernel by kernel: the first point
-// of each kernel runs its compile pipeline once (the CompileCache
-// singleflights concurrent claimants) and every later point of that kernel
-// hits the cache, instead of the pool interleaving half-warm compiles of
-// many kernels.
-func (e *Engine) batchOrderIdx(pts []Point) []int {
-	warm := make([]int, 0, len(pts))
-	cold := make([]int, 0, len(pts))
-	for i, p := range pts {
-		if e.isWarm(p.canon()) {
-			warm = append(warm, i)
-		} else {
-			cold = append(cold, i)
-		}
-	}
-	sort.SliceStable(cold, func(a, b int) bool {
-		pi, pj := pts[cold[a]], pts[cold[b]]
-		if pi.Workload != pj.Workload {
-			return pi.Workload < pj.Workload
-		}
-		return pi.Unroll < pj.Unroll
-	})
-	return append(warm, cold...)
-}
-
-// isWarm reports whether evaluating the (canonicalized) point can skip the
-// compiler: its result is memoized on this engine, or the disk store holds
-// an entry for it. The store check is a stat-based hint — a corrupt entry
-// discovered later simply demotes the point to a cold evaluation, which is
-// a scheduling miss, not a correctness issue.
-func (e *Engine) isWarm(p Point) bool {
-	e.mu.Lock()
-	_, ok := e.results[p]
-	e.mu.Unlock()
-	if ok {
-		return true
-	}
-	return e.disk != nil && e.disk.Has(p.storeKey())
 }
 
 // Compiles reports how many allocation pipelines the engine's compile cache

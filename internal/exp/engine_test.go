@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"ltrf/internal/sim"
+	"ltrf/internal/store"
 )
 
 // detOpts is the reduced configuration the determinism and benchmark tests
@@ -145,7 +147,9 @@ func TestEngineErrorsAreDeterministic(t *testing.T) {
 // economy: a cold multi-kernel, multi-config sweep through RunBatch must run
 // the allocation pipeline exactly once per distinct (kernel, regCap) — the
 // expected set computed independently via each point's occupancy decision —
-// and a warm re-dispatch must compile and simulate nothing new.
+// and a warm re-dispatch must compile and simulate nothing new. A fresh
+// store-backed engine over a store holding every third point compiles once
+// per distinct (kernel, regCap) of the points it still has to simulate.
 func TestRunBatchKernelBatching(t *testing.T) {
 	o := Options{
 		Quick:       true,
@@ -166,8 +170,63 @@ func TestRunBatchKernelBatching(t *testing.T) {
 		}
 	}
 
-	// Expected compiles: one per distinct (kernel, regCap) over the sweep,
-	// derived from the same occupancy decision evaluation makes.
+	want := distinctAllocs(t, eng, pts)
+	eng.RunBatch(o.ctx(), o, pts)
+	if err := eng.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Compiles(); got != want {
+		t.Errorf("cold batch ran %d allocation pipelines, want %d (one per distinct kernel+regCap)",
+			got, want)
+	}
+
+	// Warm re-dispatch: everything memoized, nothing compiles or simulates.
+	sims := eng.Sims()
+	eng.RunBatch(o.ctx(), o, pts)
+	if got := eng.Compiles(); got != want {
+		t.Errorf("warm re-dispatch compiled %d new kernels, want 0", got-want)
+	}
+	if got := eng.Sims(); got != sims {
+		t.Errorf("warm re-dispatch simulated %d new points, want 0", got-sims)
+	}
+
+	// Store-warm grid: the memo above publishes every third point to a
+	// store, and a fresh engine over it runs the whole grid.
+	dir := t.TempDir()
+	seed := openTestStore(t, dir)
+	var cold []Point
+	for i, p := range pts {
+		if i%3 != 0 {
+			cold = append(cold, p)
+			continue
+		}
+		res, err := eng.Eval(o.ctx(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seed.Put(p.canon().storeKey(), encodeResult(res)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := NewEngineWithStore(openTestStore(t, dir))
+	want = distinctAllocs(t, fresh, cold)
+	fresh.RunBatch(o.ctx(), o, pts)
+	if err := fresh.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Compiles(); got != want {
+		t.Errorf("store-warm batch ran %d allocation pipelines, want %d (one per distinct kernel+regCap of its cold points)",
+			got, want)
+	}
+	if warm := int64(len(pts) - len(cold)); fresh.StoreHits() != warm || fresh.Sims() != int64(len(cold)) {
+		t.Errorf("store-warm batch: store hits=%d sims=%d, want %d/%d", fresh.StoreHits(), fresh.Sims(), warm, len(cold))
+	}
+}
+
+// distinctAllocs counts the distinct (kernel, regCap) pairs of pts, derived
+// from the same occupancy decision evaluation makes.
+func distinctAllocs(t *testing.T, eng *Engine, pts []Point) int64 {
+	t.Helper()
 	type allocID struct {
 		workload string
 		regCap   int
@@ -192,25 +251,7 @@ func TestRunBatchKernelBatching(t *testing.T) {
 		}
 		want[allocID{p.Workload, regCap}] = true
 	}
-
-	eng.RunBatch(o.ctx(), o, pts)
-	if err := eng.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Compiles(); got != int64(len(want)) {
-		t.Errorf("cold batch ran %d allocation pipelines, want %d (one per distinct kernel+regCap)",
-			got, len(want))
-	}
-
-	// Warm re-dispatch: everything memoized, nothing compiles or simulates.
-	sims := eng.Sims()
-	eng.RunBatch(o.ctx(), o, pts)
-	if got := eng.Compiles(); got != int64(len(want)) {
-		t.Errorf("warm re-dispatch compiled %d new kernels, want 0", got-int64(len(want)))
-	}
-	if got := eng.Sims(); got != sims {
-		t.Errorf("warm re-dispatch simulated %d new points, want 0", got-sims)
-	}
+	return int64(len(want))
 }
 
 // runRegistry regenerates every experiment once on the given options.
@@ -239,4 +280,28 @@ func BenchmarkExperimentEngineParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runRegistry(b, detOpts(0))
 	}
+}
+
+// BenchmarkEvalStreamStoreWarm streams a 64-point grid from a populated
+// store through a fresh engine per iteration: the store-warm sweep path
+// below HTTP, one probe read and decode per point and no simulation.
+func BenchmarkEvalStreamStoreWarm(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{Version: StoreVersion()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := coldGrid(64)
+	NewEngineWithStore(st).RunBatch(context.Background(), Options{}, pts)
+	for b.Loop() {
+		eng := NewEngineWithStore(st)
+		for r := range eng.EvalStream(context.Background(), 0, pts) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+		if eng.Sims() != 0 {
+			b.Fatalf("store-warm stream simulated %d points", eng.Sims())
+		}
+	}
+	b.ReportMetric(float64(b.N*len(pts))/b.Elapsed().Seconds(), "points/s")
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ltrf/internal/sim"
+	"ltrf/internal/store"
 	"ltrf/internal/workloads"
 )
 
@@ -142,11 +143,12 @@ func TestCrashMidLeaseTakeover(t *testing.T) {
 	}
 }
 
-// TestLiveLeaseDefersNoWaitEval pins evalNoWait's contract: while another
-// replica's live lease stands, the call returns the isLeaseBusy deferral
-// signal without computing, and the deferral is NOT memoized — once the
-// lease is released (here: without a publish, i.e. the holder failed), the
-// next call computes normally.
+// TestLiveLeaseDefersNoWaitEval pins the contract of an evaluation without
+// the wait mode (EvalStream's cold pass): while another replica's live
+// lease stands, the call returns the isLeaseBusy deferral signal without
+// computing, and the deferral is NOT memoized — once the lease is released
+// (here: without a publish, i.e. the holder failed), the next call
+// computes normally.
 func TestLiveLeaseDefersNoWaitEval(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
@@ -157,8 +159,8 @@ func TestLiveLeaseDefersNoWaitEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.evalNoWait(context.Background(), p); !isLeaseBusy(err) {
-		t.Fatalf("evalNoWait under live lease: got %v, want isLeaseBusy", err)
+	if _, err := eng.eval(context.Background(), p, evalMode{}); !isLeaseBusy(err) {
+		t.Fatalf("no-wait eval under live lease: got %v, want isLeaseBusy", err)
 	}
 	if eng.Sims() != 0 {
 		t.Fatalf("Sims=%d after deferral, want 0", eng.Sims())
@@ -166,8 +168,8 @@ func TestLiveLeaseDefersNoWaitEval(t *testing.T) {
 	if err := lease.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.evalNoWait(context.Background(), p); err != nil {
-		t.Fatalf("evalNoWait after release: %v", err)
+	if _, err := eng.eval(context.Background(), p, evalMode{}); err != nil {
+		t.Fatalf("no-wait eval after release: %v", err)
 	}
 	if eng.Sims() != 1 {
 		t.Fatalf("Sims=%d, want 1", eng.Sims())
@@ -261,6 +263,84 @@ func TestEvalStreamWarmPointsFlushFirst(t *testing.T) {
 	}
 	if n := len(drain(t, ch)); n != 3 {
 		t.Errorf("remaining deliveries %d, want 3", n)
+	}
+}
+
+// TestEvalStreamStoreWarmPointFlushesFirst is the store-warm form of the
+// property above: a fresh engine over a store that holds only the LAST
+// declared point delivers that point first, because the probe reads every
+// entry before any cold point is dispatched.
+func TestEvalStreamStoreWarmPointFlushesFirst(t *testing.T) {
+	dir := t.TempDir()
+	pts := coldGrid(4)
+	if _, err := NewEngineWithStore(openTestStore(t, dir)).Eval(context.Background(), pts[3]); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := NewEngineWithStore(openTestStore(t, dir))
+	ch := eng.EvalStream(context.Background(), 1, pts)
+	first, ok := <-ch
+	if !ok {
+		t.Fatal("stream closed without results")
+	}
+	if first.Index != 3 {
+		t.Errorf("first delivery is point %d, want the store-warm point 3", first.Index)
+	}
+	if n := len(drain(t, ch)); n != 3 {
+		t.Errorf("remaining deliveries %d, want 3", n)
+	}
+	if eng.StoreHits() != 1 || eng.Sims() != 3 {
+		t.Errorf("store hits=%d sims=%d, want 1/3", eng.StoreHits(), eng.Sims())
+	}
+}
+
+// TestEvalStreamReadsEachKeyOnce counts the store reads of a stream per
+// key: a cold grid reads each entry once before its lease (one miss per
+// point, none for the lease path), and the same grid on a fresh engine
+// reads each entry once more and simulates nothing.
+func TestEvalStreamReadsEachKeyOnce(t *testing.T) {
+	dir := t.TempDir()
+	pts := coldGrid(6)
+	n := int64(len(pts))
+	for _, phase := range []struct {
+		name               string
+		hits, misses, sims int64
+	}{
+		{"cold", 0, n, n},
+		{"store-warm", n, 0, 0},
+	} {
+		t.Run(phase.name, func(t *testing.T) {
+			rec := &store.KeyRecorder{}
+			st, err := store.Open(dir, store.Options{
+				Version:  StoreVersion(),
+				Injector: &store.Faults{OnRead: rec.Hook()},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngineWithStore(st)
+			if got := len(drain(t, eng.EvalStream(context.Background(), 2, pts))); got != len(pts) {
+				t.Fatalf("delivered %d points, want %d", got, len(pts))
+			}
+			reads := map[string]int{}
+			for _, k := range rec.Keys() {
+				reads[k]++
+			}
+			for _, p := range pts {
+				if got := reads[p.canon().storeKey()]; got != 1 {
+					t.Errorf("point budget %d: %d reads, want 1", p.Budget, got)
+				}
+			}
+			if len(reads) != len(pts) {
+				t.Errorf("read %d distinct keys, want %d", len(reads), len(pts))
+			}
+			if st.Hits() != phase.hits || st.Misses() != phase.misses {
+				t.Errorf("store hits=%d misses=%d, want %d/%d", st.Hits(), st.Misses(), phase.hits, phase.misses)
+			}
+			if eng.StoreHits() != phase.hits || eng.Sims() != phase.sims {
+				t.Errorf("engine store hits=%d sims=%d, want %d/%d", eng.StoreHits(), eng.Sims(), phase.hits, phase.sims)
+			}
+		})
 	}
 }
 

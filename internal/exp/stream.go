@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"ltrf/internal/sim"
@@ -30,17 +33,27 @@ type StreamResult struct {
 // consumer that flushes only when its next receive would block (the sweep
 // handler) gets them in bursts whatever the scheduler's interleaving.
 //
-// Dispatch follows batchOrderIdx (warm first in declaration order, cold
-// sorted by compiled-kernel identity), so a multi-kernel grid compiles
-// each kernel once instead of racing the workers into many compile misses.
+// Dispatch runs three passes on the pool:
 //
-// Cross-replica coordination is non-blocking: a cold point whose store
-// lease is held by another replica is DEFERRED — the worker moves on to the
-// next point — and retried after the rest of the grid has dispatched, by
-// which time the other replica has usually published it as a store hit.
-// Deferred points that are still contended on the second pass fall back to
-// the blocking wait (poll-until-published), so every point is eventually
-// delivered exactly once.
+//  1. The probe visits every point in declaration order and serves it from
+//     the memo or with one store read (Engine.probe). A point it cannot
+//     serve is not memoized; it goes to the cold pass with what the read
+//     found, so the cold pass starts at the lease instead of reading again.
+//  2. The cold pass runs the probe's misses sorted by compiled-kernel
+//     identity (workload, then unroll; declaration order within a kernel).
+//     The first point of each kernel runs its compile pipeline once (the
+//     CompileCache singleflights concurrent claimants) and every later
+//     point of that kernel hits the cache, instead of the pool
+//     interleaving half-warm compiles of many kernels.
+//  3. The deferred pass retries points whose store lease another replica
+//     held, now with the blocking cross-replica wait.
+//
+// Cross-replica coordination is non-blocking until the last pass: a point
+// whose lease is held elsewhere is DEFERRED — the worker moves on — and
+// retried after the rest of the grid has dispatched, by which time the
+// other replica has usually published it as a store hit. Deferred points
+// that are still contended fall back to the blocking wait (poll until
+// published), so every point is eventually delivered exactly once.
 func (e *Engine) EvalStream(ctx context.Context, workers int, pts []Point) <-chan StreamResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -48,32 +61,46 @@ func (e *Engine) EvalStream(ctx context.Context, workers int, pts []Point) <-cha
 	out := make(chan StreamResult, len(pts))
 	go func() {
 		defer close(out)
+		var mu sync.Mutex
+		var cold []coldPoint
+		var deferred []int
 		// Every point is emitted at most once, so a send never blocks.
 		emit := func(idx int, res *sim.Result, err error) {
+			if isLeaseBusy(err) {
+				mu.Lock()
+				deferred = append(deferred, idx)
+				mu.Unlock()
+				return
+			}
 			out <- StreamResult{Index: idx, Point: pts[idx], Res: res, Err: err}
 		}
 
-		// Pass 1: kernel-batched dispatch, deferring lease-contended points.
-		var deferredMu sync.Mutex
-		var deferred []int
-		order := e.batchOrderIdx(pts)
-		pool(ctx, workers, len(order), func(k int) {
-			idx := order[k]
-			res, err := e.evalNoWait(ctx, pts[idx])
-			if isLeaseBusy(err) {
-				deferredMu.Lock()
-				deferred = append(deferred, idx)
-				deferredMu.Unlock()
+		pool(ctx, workers, len(pts), func(idx int) {
+			res, err := e.probe(ctx, pts[idx])
+			if found, miss := err.(storeRead); miss {
+				mu.Lock()
+				cold = append(cold, coldPoint{idx, found})
+				mu.Unlock()
 				return
 			}
 			emit(idx, res, err)
 		})
 
-		// Pass 2: deferred points, now with the blocking cross-replica wait.
-		// Most are store hits by now; stragglers poll until the owning
-		// replica publishes (or its lease expires and this engine takes the
-		// point over). Batching no longer matters: these points are
-		// compiling (or compiled) on another replica, not here.
+		slices.SortFunc(cold, func(a, b coldPoint) int {
+			pa, pb := pts[a.idx], pts[b.idx]
+			return cmp.Or(strings.Compare(pa.Workload, pb.Workload),
+				cmp.Compare(pa.Unroll, pb.Unroll), cmp.Compare(a.idx, b.idx))
+		})
+		pool(ctx, workers, len(cold), func(k int) {
+			c := cold[k]
+			res, err := e.eval(ctx, pts[c.idx], evalMode{from: c.found})
+			emit(c.idx, res, err)
+		})
+
+		// Most deferred points are store hits by now; stragglers poll until
+		// the owning replica publishes (or its lease expires and this engine
+		// takes the point over). Batching no longer matters: these points
+		// are compiling (or compiled) on another replica, not here.
 		pool(ctx, workers, len(deferred), func(k int) {
 			idx := deferred[k]
 			res, err := e.Eval(ctx, pts[idx])
@@ -83,10 +110,16 @@ func (e *Engine) EvalStream(ctx context.Context, workers int, pts []Point) <-cha
 	return out
 }
 
+// coldPoint is a point the probe could not serve, with what its read found.
+type coldPoint struct {
+	idx   int
+	found storeRead
+}
+
 // pool is the package's one worker pool: it calls job(k) for k = 0..n-1,
 // dispatched in that order, on at most workers goroutines (workers <= 0
 // means GOMAXPROCS). Dispatch stops when ctx fires; pool returns once every
-// dispatched job has returned. EvalStream's two passes (and so RunBatch)
+// dispatched job has returned. EvalStream's three passes (and so RunBatch)
 // and parallelEach's static analyses run on it.
 func pool(ctx context.Context, workers, n int, job func(k int)) {
 	if workers <= 0 {

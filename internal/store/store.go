@@ -32,9 +32,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -168,10 +170,10 @@ func (s *Store) Retries() int64     { return s.retries.Load() }
 
 // Has reports whether an entry for key exists on disk — a single stat of
 // its content address, with no payload read, no checksum verification, and
-// no hit/miss accounting. It is a planning hint, not a promise: a later Get
-// still decides whether the entry is actually usable (it may be corrupt and
-// get quarantined). Sweep planners use it to classify points as warm
-// without paying a read per point.
+// no hit/miss accounting. It is the lease paths' poll: a waiter stats until
+// the lease holder publishes, and the holder stats once under the lease
+// before computing. A later Get still decides whether the entry is usable
+// (it may be corrupt and get quarantined).
 func (s *Store) Has(key string) bool {
 	_, err := os.Stat(s.Path(key))
 	return err == nil
@@ -296,19 +298,66 @@ func (s *Store) getOnce(key string) ([]byte, error) {
 		}
 	}
 	path := s.Path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: get %s: %w", key, ErrNotFound)
-		}
-		return nil, fmt.Errorf("store: get %s: %w", key, err)
-	}
-	payload, ok := verify(data)
-	if !ok {
+	payload, err := readEntry(path)
+	switch {
+	case err == errUnverified:
 		s.quarantine(path)
 		return nil, fmt.Errorf("store: get %s: %w", key, ErrCorrupt)
+	case os.IsNotExist(err):
+		return nil, fmt.Errorf("store: get %s: %w", key, ErrNotFound)
+	case err != nil:
+		return nil, fmt.Errorf("store: get %s: %w", key, err)
 	}
 	return payload, nil
+}
+
+// errUnverified is readEntry's verdict on an entry whose whole content
+// fails verify.
+var errUnverified = errors.New("store: entry fails verification")
+
+// firstRead sizes readEntry's first buffer: a stored result record and its
+// header line (about 630 bytes) fit it, so the read allocates once.
+const firstRead = 1024
+
+// readEntry reads and verifies the entry at path with plain open, read and
+// close calls: no *os.File (so no poller registration or finalizer) and no
+// fstat for the size. A read of a regular file comes back short only at
+// its end, so an entry that fits the first buffer and verifies costs one
+// open, one read and one close. A read that fills the buffer grows it and
+// reads on; a short read that fails verification also reads on to end of
+// file before the verdict, so a filesystem that returns short reads early
+// cannot get a good entry quarantined.
+func readEntry(path string) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return nil, &fs.PathError{Op: "open", Path: path, Err: err}
+	}
+	defer syscall.Close(fd) //nolint:errcheck // read-only descriptor
+	buf := make([]byte, 0, firstRead)
+	for {
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			return nil, &fs.PathError{Op: "read", Path: path, Err: err}
+		}
+		buf = buf[:len(buf)+n]
+		if n == 0 || len(buf) < cap(buf) {
+			if payload, ok := verify(buf); ok {
+				return payload, nil
+			}
+			if n == 0 {
+				return nil, errUnverified
+			}
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf))
+		}
+	}
 }
 
 // verify parses the header line and checks the payload checksum.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -226,5 +227,141 @@ func TestKeyRecorder(t *testing.T) {
 	keys := rec.Keys()
 	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
 		t.Fatalf("recorded keys: %v", keys)
+	}
+}
+
+// TestGetEdgeCases drives Get's read over entry shapes at and around its
+// first buffer: sizes that fill it exactly or spill past it must round-trip,
+// entries that fail verification are quarantined as ErrCorrupt, and a
+// directory at the entry's path is an error, never a hit.
+func TestGetEdgeCases(t *testing.T) {
+	header := len(headerMagic) + 1 + 64 + 1 // magic, space, hex SHA-256, newline
+	payload := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(i*7 + 3)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		// setup prepares the entry for key "k" (nil: nothing is stored).
+		setup      func(t *testing.T, s *Store)
+		want       []byte // the payload Get returns, when it succeeds
+		wantErr    error  // the sentinel Get's error wraps (nil: success)
+		quarantine int64
+		retries    int64
+		faults     *Faults
+	}{
+		{name: "small", want: payload(551)},
+		{name: "fills the first buffer", want: payload(firstRead - header)},
+		{name: "one byte short of the first buffer", want: payload(firstRead - header - 1)},
+		{name: "one byte past the first buffer", want: payload(firstRead - header + 1)},
+		{name: "64 KiB", want: payload(64 << 10)},
+		{name: "missing", setup: func(*testing.T, *Store) {}, wantErr: ErrNotFound},
+		{
+			name: "empty file", wantErr: ErrCorrupt, quarantine: 1,
+			setup: func(t *testing.T, s *Store) { writeEntry(t, s, nil) },
+		},
+		{
+			name: "header only", wantErr: ErrCorrupt, quarantine: 1,
+			setup: func(t *testing.T, s *Store) {
+				if err := s.Put("k", payload(551)); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(s.Path("k"), int64(header)); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		{
+			name: "directory at the entry's path",
+			setup: func(t *testing.T, s *Store) {
+				if err := os.MkdirAll(s.Path("k"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		{
+			name: "transient read failure", want: payload(551), retries: 2,
+			faults: &Faults{OnRead: Countdown(2, TransientErr(errors.New("flaky disk")))},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t, t.TempDir(), Options{
+				Version:  "v1",
+				Injector: tc.faults,
+				Retry:    RetryPolicy{Attempts: 4, Base: time.Microsecond, Max: time.Microsecond},
+			})
+			if tc.setup != nil {
+				tc.setup(t, s)
+			} else if err := s.Put("k", tc.want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get("k")
+			switch {
+			case tc.want != nil:
+				if err != nil {
+					t.Fatalf("Get: %v", err)
+				}
+				if !bytes.Equal(got, tc.want) {
+					t.Fatalf("payload of %d bytes came back as %d bytes, or with different content", len(tc.want), len(got))
+				}
+				if s.Hits() != 1 {
+					t.Errorf("hits=%d, want 1", s.Hits())
+				}
+			case tc.wantErr != nil:
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Get: got %v, want %v", err, tc.wantErr)
+				}
+			default:
+				if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Get: got %v, want a plain read error", err)
+				}
+			}
+			if tc.want == nil && (got != nil || s.Hits() != 0) {
+				t.Errorf("a failed Get returned %d bytes and counted %d hits", len(got), s.Hits())
+			}
+			if s.Quarantined() != tc.quarantine {
+				t.Errorf("quarantined=%d, want %d", s.Quarantined(), tc.quarantine)
+			}
+			if tc.quarantine > 0 {
+				if _, err := os.Stat(s.Path("k")); !os.IsNotExist(err) {
+					t.Errorf("quarantined entry still at its path (stat: %v)", err)
+				}
+			}
+			if s.Retries() != tc.retries {
+				t.Errorf("retries=%d, want %d", s.Retries(), tc.retries)
+			}
+		})
+	}
+}
+
+// writeEntry writes raw bytes at the entry path of key "k".
+func writeEntry(t *testing.T, s *Store, data []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(s.Path("k")), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.Path("k"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkStoreGet reads one stored entry the size of an average result
+// record (551 bytes of payload): the store-warm read path's cost per point.
+func BenchmarkStoreGet(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{Version: "v1"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Put("k", make([]byte, 551)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := s.Get("k"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
