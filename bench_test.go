@@ -1,6 +1,6 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (each regenerates the artifact's data in quick mode), plus
-// ablation benchmarks for the design choices DESIGN.md calls out.
+// Benchmark harness: one sub-benchmark per registered experiment (each
+// regenerates the artifact's data in quick mode), plus ablation benchmarks
+// for the design choices the paper's evaluation varies.
 //
 // Run everything with:
 //
@@ -8,7 +8,7 @@
 //
 // The per-experiment numbers these benches print are quick-mode
 // approximations; use `go run ./cmd/ltrf-experiments -all` for the full-
-// budget runs recorded in EXPERIMENTS.md.
+// budget runs.
 package ltrf_test
 
 import (
@@ -18,59 +18,29 @@ import (
 	"ltrf"
 )
 
-// benchOpts keeps benchmark iterations affordable: quick budgets on a
-// representative workload pair (one register-sensitive, one insensitive).
-var benchOpts = ltrf.ExperimentOptions{Quick: true, Workloads: []string{"btree", "sgemm"}}
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := ltrf.RunExperiment(id, benchOpts); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates every registered table and figure in
+// quick mode on a representative workload pair (one register-sensitive,
+// one insensitive), one sub-benchmark per experiment id. Each iteration
+// runs on a fresh engine, so every iteration simulates its points instead
+// of reading the previous iteration's memo.
+func BenchmarkExperiments(b *testing.B) {
+	for _, s := range ltrf.Experiments() {
+		b.Run(s.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				o := ltrf.ExperimentOptions{
+					Quick:     true,
+					Workloads: []string{"btree", "sgemm"},
+					Engine:    ltrf.NewExperimentEngine(),
+				}
+				if _, err := ltrf.RunExperiment(s.ID, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkTable1 regenerates Table 1 (register capacity to maximize TLP).
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkTable2 regenerates Table 2 (register file design points).
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-
-// BenchmarkTable4 regenerates Table 4 (register-interval lengths).
-func BenchmarkTable4(b *testing.B) { benchExperiment(b, "table4") }
-
-// BenchmarkFigure2 regenerates Figure 2 (on-chip memory across generations).
-func BenchmarkFigure2(b *testing.B) { benchExperiment(b, "figure2") }
-
-// BenchmarkFigure3 regenerates Figure 3 (ideal vs real TFET 8x RF).
-func BenchmarkFigure3(b *testing.B) { benchExperiment(b, "figure3") }
-
-// BenchmarkFigure4 regenerates Figure 4 (register cache hit rates).
-func BenchmarkFigure4(b *testing.B) { benchExperiment(b, "figure4") }
-
-// BenchmarkFigure9 regenerates Figure 9 (IPC on configs #6 and #7).
-func BenchmarkFigure9(b *testing.B) { benchExperiment(b, "figure9") }
-
-// BenchmarkFigure10 regenerates Figure 10 (register file power, config #7).
-func BenchmarkFigure10(b *testing.B) { benchExperiment(b, "figure10") }
-
-// BenchmarkFigure11 regenerates Figure 11 (max tolerable RF latency).
-func BenchmarkFigure11(b *testing.B) { benchExperiment(b, "figure11") }
-
-// BenchmarkFigure12 regenerates Figure 12 (registers per interval sweep).
-func BenchmarkFigure12(b *testing.B) { benchExperiment(b, "figure12") }
-
-// BenchmarkFigure13 regenerates Figure 13 (active warp count sweep).
-func BenchmarkFigure13(b *testing.B) { benchExperiment(b, "figure13") }
-
-// BenchmarkFigure14 regenerates Figure 14 (LTRF vs SW register caching).
-func BenchmarkFigure14(b *testing.B) { benchExperiment(b, "figure14") }
-
-// BenchmarkOverheads regenerates the §4.3 overhead analysis.
-func BenchmarkOverheads(b *testing.B) { benchExperiment(b, "overheads") }
-
-// --- Ablation benchmarks (DESIGN.md §5) ---
+// --- Ablation benchmarks ---
 
 func benchSim(b *testing.B, o ltrf.SimOptions, workload string) {
 	b.Helper()

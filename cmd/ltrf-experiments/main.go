@@ -56,7 +56,6 @@ func realMain() int {
 	var (
 		list       = flag.Bool("list", false, "list available experiments")
 		run        = flag.String("run", "", "run one experiment by id (e.g. figure9)")
-		expFlag    = flag.String("exp", "", "alias for -run")
 		all        = flag.Bool("all", false, "run every experiment")
 		quick      = flag.Bool("quick", false, "reduced instruction budgets (faster, noisier)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -103,13 +102,6 @@ func realMain() int {
 		}()
 	}
 
-	if *run != "" && *expFlag != "" && *run != *expFlag {
-		fmt.Fprintln(os.Stderr, "ltrf-experiments: -run and -exp name different experiments; pass only one")
-		return 2
-	}
-	if *run == "" {
-		*run = *expFlag
-	}
 	// SIGINT/SIGTERM cancel the in-flight sweep through the engine's
 	// context plumbing: workers stop dispatching, in-flight simulations
 	// stop inside the advance loop, and the deferred pprof flushes above

@@ -1,6 +1,6 @@
 // Package exp contains one experiment driver per table and figure of the
 // paper's evaluation. Each driver regenerates the artifact's data as a
-// Table; EXPERIMENTS.md records paper-reported vs. measured values.
+// Table; where the paper reports a value, the table's notes quote it.
 package exp
 
 import (

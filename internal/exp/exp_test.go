@@ -148,8 +148,7 @@ func mustIntervals(t *testing.T, p *isa.Program, n int) (*core.Partition, []int)
 }
 
 // TestStaticExperimentsFast exercises the non-simulation experiments at full
-// budget (they are cheap) and asserts the headline bands recorded in
-// EXPERIMENTS.md.
+// budget (they are cheap) and asserts their headline bands.
 func TestStaticExperimentsFast(t *testing.T) {
 	o := Options{}
 

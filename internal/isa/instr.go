@@ -34,7 +34,7 @@ func (s MemSpace) String() string {
 // AccessPattern describes how the 32 threads of a warp spread their addresses
 // for one memory instruction. The timing simulator's coalescer turns the
 // pattern into memory transactions; values are never computed (timing-directed
-// execution, see DESIGN.md §3).
+// execution).
 type AccessPattern uint8
 
 const (

@@ -14,8 +14,8 @@ func regionBase(region uint8) uint64 {
 
 // Transactions appends the 128B transaction addresses generated by one warp
 // executing memory instruction metadata m for the iter-th time, and returns
-// the extended slice. The count and spread depend on the access pattern
-// (§"Coalescer" in DESIGN.md): coalesced warps touch one line, strided warps
+// the extended slice. The count and spread depend on the access pattern:
+// coalesced warps touch one line, strided warps
 // touch ceil(32*stride/128) lines, random warps scatter over the footprint.
 func Transactions(m *isa.MemAccess, warpID int, iter int64, buf []uint64) []uint64 {
 	base := regionBase(m.Region)

@@ -40,7 +40,7 @@ type dramBank struct {
 // DRAM is a bank-timing DRAM model. True FR-FCFS reordering is approximated
 // by row-buffer-aware in-order per-bank service: a request to the currently
 // open row pays only CAS latency, which captures the row-hit benefit FR-FCFS
-// extracts from streaming GPU traffic (see DESIGN.md §1 substitutions).
+// extracts from streaming GPU traffic.
 type DRAM struct {
 	cfg   DRAMConfig
 	banks [][]dramBank // [channel][bank]

@@ -6,7 +6,7 @@
 // [17] and feeds them to GPGPU-Sim. Neither tool exists here, so this
 // package substitutes an analytical model with per-technology constants
 // calibrated against Table 2 itself (the numbers are inputs to the
-// evaluation either way; see DESIGN.md §1). On top of the static model,
+// evaluation either way). On top of the static model,
 // SimulateQueueing provides the bank-conflict queueing measurement that the
 // paper's table folds into its latency column.
 package memtech

@@ -7,7 +7,7 @@
 // Execution is timing-directed: warps walk the kernel's control-flow graph
 // with deterministic branch outcomes (trip counts and seeded probabilistic
 // branches) and generated memory address streams; data values are not
-// computed (see DESIGN.md §3 for why this preserves the paper's effects).
+// computed.
 package sim
 
 import (

@@ -3,9 +3,9 @@
 //
 // Each kernel is built in the repository's IR with the control-flow,
 // register-pressure, memory-pattern, and compute-density characteristics of
-// its namesake (see DESIGN.md §1 for why this substitution preserves the
-// evaluation: the compiler passes consume only CFG + register usage, the
-// simulator only dynamic instruction/memory streams).
+// its namesake. The substitution preserves the evaluation: the compiler
+// passes consume only CFG + register usage, the simulator only dynamic
+// instruction/memory streams.
 //
 // Build takes an unroll factor standing in for compiler aggressiveness: the
 // paper's Table 1 observes that the newer (Maxwell-era) CUDA compiler

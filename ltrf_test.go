@@ -8,28 +8,8 @@ import (
 	"ltrf"
 )
 
-func buildDemoKernel(t testing.TB) *ltrf.Program {
-	t.Helper()
-	b := ltrf.NewKernel("demo")
-	r := b.RegN(12)
-	for i, reg := range r {
-		b.IMovImm(reg, int64(i))
-	}
-	b.Loop(6, func() {
-		b.LdGlobal(r[0], r[1], ltrf.MemAccess{Pattern: ltrf.Coalesced, Region: 0, FootprintB: 1 << 20})
-		b.Loop(6, func() {
-			b.FFMA(r[4], r[0], r[10], r[4])
-			b.FFMA(r[5], r[0], r[11], r[5])
-			b.FAdd(r[6], r[4], r[5])
-		})
-		b.StGlobal(r[1], r[6], ltrf.MemAccess{Pattern: ltrf.Coalesced, Region: 1, FootprintB: 1 << 20})
-		b.IAddImm(r[1], r[1], 4)
-	})
-	return b.MustBuild()
-}
-
 func TestCompilePipeline(t *testing.T) {
-	c, err := ltrf.Compile(buildDemoKernel(t), ltrf.CompileOptions{})
+	c, err := ltrf.Compile(quickstartKernel(), ltrf.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +31,7 @@ func TestSimulateHeadlineResult(t *testing.T) {
 	// The paper's headline behavior through the public API: on a 6.3x
 	// slower main register file, LTRF retains most of the baseline's
 	// performance while BL collapses.
-	kernel := buildDemoKernel(t)
+	kernel := quickstartKernel()
 	bl1, err := ltrf.Simulate(ltrf.SimOptions{Design: ltrf.BL, LatencyX: 1, MaxInstrs: 30000}, kernel)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +114,7 @@ func TestSchedulerOption(t *testing.T) {
 // latency multiplier that is not finite or whose main-RF latency overflows
 // a cycle count (not a run clamped back to the 1x timing).
 func TestSimOptionsRejectOutOfRangeKnobs(t *testing.T) {
-	kernel := buildDemoKernel(t)
+	kernel := quickstartKernel()
 	cases := []struct {
 		o    ltrf.SimOptions
 		want string
@@ -240,7 +220,7 @@ func TestRunAllExperimentsParallelDeterminism(t *testing.T) {
 }
 
 func TestSimulateGPU(t *testing.T) {
-	kernel := buildDemoKernel(t)
+	kernel := quickstartKernel()
 	res, err := ltrf.SimulateGPU(ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 2, MaxInstrs: 6000}, 3, kernel)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +231,7 @@ func TestSimulateGPU(t *testing.T) {
 }
 
 func TestChipEnergyPublicAPI(t *testing.T) {
-	kernel := buildDemoKernel(t)
+	kernel := quickstartKernel()
 	res, err := ltrf.Simulate(ltrf.SimOptions{Design: ltrf.LTRF, TechConfig: 7, LatencyX: 6.3, MaxInstrs: 6000}, kernel)
 	if err != nil {
 		t.Fatal(err)
