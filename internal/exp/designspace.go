@@ -29,64 +29,55 @@ func DesignSpace(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
-	var pts []Point
-	for _, w := range ws {
-		pts = append(pts, o.point(sim.DesignBL, 1, 1.0, w.Name))
-		for _, n := range names {
-			pts = append(pts, o.point(sim.Design(n), designSpaceTech, 1.0, w.Name))
+	return render(o, func(eval evalFunc) (*Table, error) {
+		t := &Table{
+			ID:      "designspace",
+			Title:   "Design space: normalized IPC of every registered design (config #6)",
+			Headers: append([]string{"Workload"}, names...),
+			Notes: []string{
+				"IPC normalized to BL on configuration #1 (+16KB, §5); columns enumerated from the regfile design registry",
+				"power row: mean RF power relative to the BL/#1 baseline, via each descriptor's energy hook",
+			},
 		}
-	}
-	eng.RunBatch(o.ctx(), o, pts)
-
-	t := &Table{
-		ID:      "designspace",
-		Title:   "Design space: normalized IPC of every registered design (config #6)",
-		Headers: append([]string{"Workload"}, names...),
-		Notes: []string{
-			"IPC normalized to BL on configuration #1 (+16KB, §5); columns enumerated from the regfile design registry",
-			"power row: mean RF power relative to the BL/#1 baseline, via each descriptor's energy hook",
-		},
-	}
-	ipcs := make(map[string][]float64, len(names))
-	pows := make(map[string][]float64, len(names))
-	var anyTrunc bool
-	for _, w := range ws {
-		bl1, err := eng.Eval(o.ctx(), o.point(sim.DesignBL, 1, 1.0, w.Name))
-		if err != nil {
-			return nil, err
-		}
-		blPower := power.NewModel(bl1.Config.Tech, false).Compute(bl1.Cycles, bl1.RF).Total() / float64(bl1.Cycles)
-		row := []string{label(w)}
-		for _, n := range names {
-			res, err := eng.Eval(o.ctx(), o.point(sim.Design(n), designSpaceTech, 1.0, w.Name))
+		ipcs := make(map[string][]float64, len(names))
+		pows := make(map[string][]float64, len(names))
+		var anyTrunc bool
+		for _, w := range ws {
+			bl1, err := eval(o.point(sim.DesignBL, 1, 1.0, w.Name))
 			if err != nil {
 				return nil, err
 			}
-			norm := res.IPC / bl1.IPC
-			ipcs[n] = append(ipcs[n], norm)
-			trunc := bl1.Truncated || res.Truncated
-			anyTrunc = anyTrunc || trunc
-			row = append(row, markIf(f2(norm), trunc))
+			blPower := power.NewModel(bl1.Config.Tech, false).Compute(bl1.Cycles, bl1.RF).Total() / float64(bl1.Cycles)
+			row := []string{label(w)}
+			for _, n := range names {
+				res, err := eval(o.point(sim.Design(n), designSpaceTech, 1.0, w.Name))
+				if err != nil {
+					return nil, err
+				}
+				norm := res.IPC / bl1.IPC
+				ipcs[n] = append(ipcs[n], norm)
+				trunc := bl1.Truncated || res.Truncated
+				anyTrunc = anyTrunc || trunc
+				row = append(row, markIf(f2(norm), trunc))
 
-			desc, err := regfile.Lookup(n)
-			if err != nil {
-				return nil, err
+				desc, err := regfile.Lookup(n)
+				if err != nil {
+					return nil, err
+				}
+				p := power.NewModelFor(desc, res.Config.Tech).Compute(res.Cycles, res.RF).Total() / float64(res.Cycles)
+				pows[n] = append(pows[n], p/blPower)
 			}
-			p := power.NewModelFor(desc, res.Config.Tech).Compute(res.Cycles, res.RF).Total() / float64(res.Cycles)
-			pows[n] = append(pows[n], p/blPower)
+			t.Rows = append(t.Rows, row)
 		}
-		t.Rows = append(t.Rows, row)
-	}
 
-	gm := []string{"geomean IPC"}
-	pw := []string{"mean RF power"}
-	for _, n := range names {
-		gm = append(gm, f2(geomean(ipcs[n])))
-		pw = append(pw, f2(mean(pows[n])))
-	}
-	t.Rows = append(t.Rows, gm, pw)
-	noteTruncation(t, anyTrunc)
-	return t, nil
+		gm := []string{"geomean IPC"}
+		pw := []string{"mean RF power"}
+		for _, n := range names {
+			gm = append(gm, f2(geomean(ipcs[n])))
+			pw = append(pw, f2(mean(pows[n])))
+		}
+		t.Rows = append(t.Rows, gm, pw)
+		noteTruncation(t, anyTrunc)
+		return t, nil
+	})
 }

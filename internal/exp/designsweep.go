@@ -45,89 +45,80 @@ func DesignSweep(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
+	return render(o, func(eval evalFunc) (*Table, error) {
+		// The BL@1x baseline EDPs are per workload, shared by every cell.
+		baseRF := make(map[string]float64, len(ws))
+		baseChip := make(map[string]float64, len(ws))
+		for _, w := range ws {
+			base, err := eval(o.point(sim.DesignBL, 1, 1.0, w.Name))
+			if err != nil {
+				return nil, err
+			}
+			rf, chip, err := designEDPs(base)
+			if err != nil {
+				return nil, err
+			}
+			baseRF[w.Name] = rf
+			baseChip[w.Name] = chip
+		}
 
-	var pts []Point
-	for _, w := range ws {
-		pts = append(pts, o.point(sim.DesignBL, 1, 1.0, w.Name))
+		headers := []string{"Latency"}
 		for _, n := range names {
-			pts = append(pts, sweepPoints(o, sim.Design(n), w.Name, nil)...)
+			headers = append(headers, n, n+"(chip)")
 		}
-	}
-	eng.RunBatch(o.ctx(), o, pts)
+		headers = append(headers, "best(rf)", "best(chip)")
 
-	// The BL@1x baseline EDPs are per workload, shared by every cell.
-	baseRF := make(map[string]float64, len(ws))
-	baseChip := make(map[string]float64, len(ws))
-	for _, w := range ws {
-		base, err := eng.Eval(o.ctx(), o.point(sim.DesignBL, 1, 1.0, w.Name))
-		if err != nil {
-			return nil, err
+		t := &Table{
+			ID:      "designsweep",
+			Title:   "Design sweep: RF-only vs chip-level EDP of every registered design vs. latency (config #1)",
+			Headers: headers,
+			Notes: []string{
+				"cells: energy-delay product relative to BL at 1x under the same account on the same workload (geomean over workloads; lower is better)",
+				"<design> scores register-file energy only; <design>(chip) adds L1/L2/DRAM, shared memory, and SM pipelines (power.ChipBreakdown)",
+				"best(rf)/best(chip): the lowest-EDP design under each account — rows where they differ are designs the RF-only yardstick mis-ranks",
+				"columns enumerated from the regfile design registry; energy through each descriptor's hooks (power.NewModelFor / NewChipModelFor)",
+			},
 		}
-		rf, chip, err := designEDPs(base)
-		if err != nil {
-			return nil, err
-		}
-		baseRF[w.Name] = rf
-		baseChip[w.Name] = chip
-	}
 
-	headers := []string{"Latency"}
-	for _, n := range names {
-		headers = append(headers, n, n+"(chip)")
-	}
-	headers = append(headers, "best(rf)", "best(chip)")
-
-	t := &Table{
-		ID:      "designsweep",
-		Title:   "Design sweep: RF-only vs chip-level EDP of every registered design vs. latency (config #1)",
-		Headers: headers,
-		Notes: []string{
-			"cells: energy-delay product relative to BL at 1x under the same account on the same workload (geomean over workloads; lower is better)",
-			"<design> scores register-file energy only; <design>(chip) adds L1/L2/DRAM, shared memory, and SM pipelines (power.ChipBreakdown)",
-			"best(rf)/best(chip): the lowest-EDP design under each account — rows where they differ are designs the RF-only yardstick mis-ranks",
-			"columns enumerated from the regfile design registry; energy through each descriptor's hooks (power.NewModelFor / NewChipModelFor)",
-		},
-	}
-
-	var anyTrunc bool
-	for _, x := range sweepGrid {
-		row := []string{fmt.Sprintf("%.0fx", x)}
-		bestRF, bestRFVal := "", 0.0
-		bestChip, bestChipVal := "", 0.0
-		for _, n := range names {
-			var relRF, relChip []float64
-			var trunc bool
-			for _, w := range ws {
-				res, err := eng.Eval(o.ctx(), o.point(sim.Design(n), 1, x, w.Name))
-				if err != nil {
-					return nil, err
+		var anyTrunc bool
+		for _, x := range sweepGrid {
+			row := []string{fmt.Sprintf("%.0fx", x)}
+			bestRF, bestRFVal := "", 0.0
+			bestChip, bestChipVal := "", 0.0
+			for _, n := range names {
+				var relRF, relChip []float64
+				var trunc bool
+				for _, w := range ws {
+					res, err := eval(o.point(sim.Design(n), 1, x, w.Name))
+					if err != nil {
+						return nil, err
+					}
+					rf, chip, err := designEDPs(res)
+					if err != nil {
+						return nil, err
+					}
+					if base := baseRF[w.Name]; base > 0 {
+						relRF = append(relRF, rf/base)
+					}
+					if base := baseChip[w.Name]; base > 0 {
+						relChip = append(relChip, chip/base)
+					}
+					trunc = trunc || res.Truncated
 				}
-				rf, chip, err := designEDPs(res)
-				if err != nil {
-					return nil, err
+				anyTrunc = anyTrunc || trunc
+				gmRF, gmChip := geomean(relRF), geomean(relChip)
+				row = append(row, markIf(f2(gmRF), trunc), markIf(f2(gmChip), trunc))
+				if bestRF == "" || gmRF < bestRFVal {
+					bestRF, bestRFVal = n, gmRF
 				}
-				if base := baseRF[w.Name]; base > 0 {
-					relRF = append(relRF, rf/base)
+				if bestChip == "" || gmChip < bestChipVal {
+					bestChip, bestChipVal = n, gmChip
 				}
-				if base := baseChip[w.Name]; base > 0 {
-					relChip = append(relChip, chip/base)
-				}
-				trunc = trunc || res.Truncated
 			}
-			anyTrunc = anyTrunc || trunc
-			gmRF, gmChip := geomean(relRF), geomean(relChip)
-			row = append(row, markIf(f2(gmRF), trunc), markIf(f2(gmChip), trunc))
-			if bestRF == "" || gmRF < bestRFVal {
-				bestRF, bestRFVal = n, gmRF
-			}
-			if bestChip == "" || gmChip < bestChipVal {
-				bestChip, bestChipVal = n, gmChip
-			}
+			row = append(row, bestRF, bestChip)
+			t.Rows = append(t.Rows, row)
 		}
-		row = append(row, bestRF, bestChip)
-		t.Rows = append(t.Rows, row)
-	}
-	noteTruncation(t, anyTrunc)
-	return t, nil
+		noteTruncation(t, anyTrunc)
+		return t, nil
+	})
 }

@@ -401,6 +401,28 @@ func (e *Engine) probe(ctx context.Context, p Point) (*sim.Result, error) {
 	return e.eval(ctx, p, evalMode{probe: true})
 }
 
+// settled returns the point's finished memo entry without waiting or
+// evaluating: nil when the point is missing or still in flight. An entry
+// seen in flight may settle transiently (its leader unpublishes it), which
+// also reads as missing.
+func (e *Engine) settled(p Point) *resultEntry {
+	e.mu.Lock()
+	ent := e.results[p.canon()]
+	e.mu.Unlock()
+	if ent == nil {
+		return nil
+	}
+	select {
+	case <-ent.done:
+		if isTransientEvalErr(ent.err) {
+			return nil
+		}
+		return ent
+	default:
+		return nil
+	}
+}
+
 // isLeaseBusy reports whether err is errLeaseBusy, the deferral signal: the
 // point is being computed by another replica right now.
 func isLeaseBusy(err error) bool { return errors.Is(err, errLeaseBusy) }
@@ -593,11 +615,11 @@ func (e *Engine) evalUncached(ctx context.Context, p Point) (*sim.Result, error)
 	return res, nil
 }
 
-// RunBatch evaluates a declared point set by draining EvalStream over the
-// options' worker pool, so experiment runs get the same kernel-batched
-// dispatch and lease deferral as streaming sweeps. It does not return
-// errors: results and errors alike are memoized, and drivers render
-// serially through Eval afterwards — so both the table bytes and the
+// RunBatch evaluates a point set by draining EvalStream over the options'
+// worker pool, so experiment renders get the same kernel-batched dispatch
+// and lease deferral as streaming sweeps. It does not return errors:
+// results and errors alike are memoized, and drivers render serially
+// through Eval afterwards (render) — so both the table bytes and the
 // surfaced error are independent of worker count, dispatch order and
 // goroutine scheduling (the golden suite locks this down). Failures() and
 // FirstError() summarize what a batch left behind. A cancelled ctx stops

@@ -90,8 +90,9 @@ type Options struct {
 	// Workloads restricts simulation-based experiments to the named
 	// workloads (nil = the paper's 14-workload evaluation subset).
 	Workloads []string
-	// Designs restricts registry-driven experiments (designspace) to the
-	// named register-file designs (nil = every registered design).
+	// Designs restricts the registry-driven experiments (designspace,
+	// designsweep, pipesweep, prefsweep) to the named register-file designs
+	// (nil = every registered design).
 	Designs []string
 	// Parallelism bounds the number of concurrently simulated points
 	// (0 = GOMAXPROCS). Tables are rendered serially from memoized

@@ -72,33 +72,31 @@ func Overheads(o Options) (*Table, error) {
 
 	// Power on the baseline technology with LTRF structures: run one
 	// representative workload under BL and LTRF at config #1.
-	eng.RunBatch(o.ctx(), o, []Point{
-		o.point(sim.DesignBL, 1, 1.0, "sgemm"),
-		o.point(sim.DesignLTRF, 1, 1.0, "sgemm"),
-	})
-	blRes, err := eng.Eval(o.ctx(), o.point(sim.DesignBL, 1, 1.0, "sgemm"))
-	if err != nil {
-		return nil, err
-	}
-	ltrfRes, err := eng.Eval(o.ctx(), o.point(sim.DesignLTRF, 1, 1.0, "sgemm"))
-	if err != nil {
-		return nil, err
-	}
-	blP := power.NewModel(blRes.Config.Tech, false).Compute(blRes.Cycles, blRes.RF)
-	ltrfP := power.NewModel(ltrfRes.Config.Tech, true).Compute(ltrfRes.Cycles, ltrfRes.RF)
-	powerDelta := ltrfP.Total()/float64(ltrfRes.Cycles)/(blP.Total()/float64(blRes.Cycles)) - 1
+	return render(o, func(eval evalFunc) (*Table, error) {
+		blRes, err := eval(o.point(sim.DesignBL, 1, 1.0, "sgemm"))
+		if err != nil {
+			return nil, err
+		}
+		ltrfRes, err := eval(o.point(sim.DesignLTRF, 1, 1.0, "sgemm"))
+		if err != nil {
+			return nil, err
+		}
+		blP := power.NewModel(blRes.Config.Tech, false).Compute(blRes.Cycles, blRes.RF)
+		ltrfP := power.NewModel(ltrfRes.Config.Tech, true).Compute(ltrfRes.Cycles, ltrfRes.RF)
+		powerDelta := ltrfP.Total()/float64(ltrfRes.Cycles)/(blP.Total()/float64(blRes.Cycles)) - 1
 
-	t := &Table{
-		ID:      "overheads",
-		Title:   "LTRF overheads (§4.3)",
-		Headers: []string{"Overhead", "Measured", "Paper"},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"Code size, embedded marker bit", fmt.Sprintf("%.1f%%", 100*mean(embs)), "7%"},
-		[]string{"Code size, explicit prefetch instr", fmt.Sprintf("%.1f%%", 100*mean(exps)), "9%"},
-		[]string{"WCB storage per SM", fmt.Sprintf("%d bits", wcbBits), "114880 bits"},
-		[]string{"Area vs baseline RF", fmt.Sprintf("+%.0f%%", 100*power.AreaOverheadX()), "+16%"},
-		[]string{"Power vs baseline RF (cfg #1, sgemm)", fmt.Sprintf("%+.0f%%", 100*powerDelta), "-23%"},
-	)
-	return t, nil
+		t := &Table{
+			ID:      "overheads",
+			Title:   "LTRF overheads (§4.3)",
+			Headers: []string{"Overhead", "Measured", "Paper"},
+		}
+		t.Rows = append(t.Rows,
+			[]string{"Code size, embedded marker bit", fmt.Sprintf("%.1f%%", 100*mean(embs)), "7%"},
+			[]string{"Code size, explicit prefetch instr", fmt.Sprintf("%.1f%%", 100*mean(exps)), "9%"},
+			[]string{"WCB storage per SM", fmt.Sprintf("%d bits", wcbBits), "114880 bits"},
+			[]string{"Area vs baseline RF", fmt.Sprintf("+%.0f%%", 100*power.AreaOverheadX()), "+16%"},
+			[]string{"Power vs baseline RF (cfg #1, sgemm)", fmt.Sprintf("%+.0f%%", 100*powerDelta), "-23%"},
+		)
+		return t, nil
+	})
 }

@@ -46,8 +46,8 @@ var pipeSchedulers = []sim.Scheduler{sim.SchedStatic, sim.SchedFlat}
 // both runs complete their budget, and it remains an equal-work comparison
 // when the MaxCycles stop fires first (where a raw cycle ratio would
 // silently degenerate to comparing equal hard stops).
-func pipeCPI(o Options, eng *Engine, p Point) (float64, bool, error) {
-	res, err := eng.Eval(o.ctx(), p)
+func pipeCPI(eval evalFunc, p Point) (float64, bool, error) {
+	res, err := eval(p)
 	if err != nil {
 		return 0, false, err
 	}
@@ -73,8 +73,6 @@ func PipeSweep(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
 	type rowSpec struct {
 		label string
 		latX  float64
@@ -94,99 +92,88 @@ func PipeSweep(o Options) (*Table, error) {
 		return p
 	}
 
-	var pts []Point
-	for _, pair := range pairs {
-		for _, m := range []workloads.Workload{pair.Pipelined, pair.Naive} {
-			pts = append(pts, point(sim.DesignBL, 1.0, m.Name, ""))
-			for _, n := range names {
-				for _, r := range rows {
-					pts = append(pts, point(sim.Design(n), r.latX, m.Name, r.sched))
-				}
-			}
-		}
-	}
-	eng.RunBatch(o.ctx(), o, pts)
-
-	// Per-member BL@1x CPI: the normalizer that makes design scores
-	// comparable across families in the ranking columns.
-	baseCPI := map[string]float64{}
-	for _, pair := range pairs {
-		for _, m := range []workloads.Workload{pair.Pipelined, pair.Naive} {
-			cpi, _, err := pipeCPI(o, eng, point(sim.DesignBL, 1.0, m.Name, ""))
-			if err != nil {
-				return nil, err
-			}
-			baseCPI[m.Name] = cpi
-		}
-	}
-
-	headers := []string{"Latency"}
-	headers = append(headers, names...)
-	headers = append(headers, "best(pipe)", "best(naive)")
-
-	t := &Table{
-		ID:      "pipesweep",
-		Title:   "Pipelined vs naive: equal-work cycle ratio of each family pair across designs, latency, and schedulers",
-		Headers: headers,
-		Notes: []string{
-			"cells: CPI(pipelined)/CPI(naive) under the same design at the row's latency (geomean over family pairs; <1 = software pipelining wins)",
-			"pairs retire identical per-warp instruction-class counts (workloads calibration suite), so the ratio isolates latency hiding",
-			"Nx/static and Nx/flat rows rerun the 6x point under sim.SchedStatic / sim.SchedFlat (the PR 4 scheduler-sensitivity axis)",
-			"best(pipe)/best(naive): lowest geomean CPI relative to BL at 1x on the same member — computed separately on the pipelined and naive members",
-		},
-	}
-
-	var anyTrunc bool
-	flips := 0
-	for _, r := range rows {
-		row := []string{r.label}
-		scoreP := make([]float64, len(names))
-		scoreN := make([]float64, len(names))
-		for i, n := range names {
-			var ratios, relP, relN []float64
-			var trunc bool
-			for _, pair := range pairs {
-				pc, pt, err := pipeCPI(o, eng, point(sim.Design(n), r.latX, pair.Pipelined.Name, r.sched))
+	return render(o, func(eval evalFunc) (*Table, error) {
+		// Per-member BL@1x CPI: the normalizer that makes design scores
+		// comparable across families in the ranking columns.
+		baseCPI := map[string]float64{}
+		for _, pair := range pairs {
+			for _, m := range []workloads.Workload{pair.Pipelined, pair.Naive} {
+				cpi, _, err := pipeCPI(eval, point(sim.DesignBL, 1.0, m.Name, ""))
 				if err != nil {
 					return nil, err
 				}
-				nc, nt, err := pipeCPI(o, eng, point(sim.Design(n), r.latX, pair.Naive.Name, r.sched))
-				if err != nil {
-					return nil, err
+				baseCPI[m.Name] = cpi
+			}
+		}
+
+		headers := []string{"Latency"}
+		headers = append(headers, names...)
+		headers = append(headers, "best(pipe)", "best(naive)")
+
+		t := &Table{
+			ID:      "pipesweep",
+			Title:   "Pipelined vs naive: equal-work cycle ratio of each family pair across designs, latency, and schedulers",
+			Headers: headers,
+			Notes: []string{
+				"cells: CPI(pipelined)/CPI(naive) under the same design at the row's latency (geomean over family pairs; <1 = software pipelining wins)",
+				"pairs retire identical per-warp instruction-class counts (workloads calibration suite), so the ratio isolates latency hiding",
+				"Nx/static and Nx/flat rows rerun the 6x point under sim.SchedStatic / sim.SchedFlat (the PR 4 scheduler-sensitivity axis)",
+				"best(pipe)/best(naive): lowest geomean CPI relative to BL at 1x on the same member — computed separately on the pipelined and naive members",
+			},
+		}
+
+		var anyTrunc bool
+		flips := 0
+		for _, r := range rows {
+			row := []string{r.label}
+			scoreP := make([]float64, len(names))
+			scoreN := make([]float64, len(names))
+			for i, n := range names {
+				var ratios, relP, relN []float64
+				var trunc bool
+				for _, pair := range pairs {
+					pc, pt, err := pipeCPI(eval, point(sim.Design(n), r.latX, pair.Pipelined.Name, r.sched))
+					if err != nil {
+						return nil, err
+					}
+					nc, nt, err := pipeCPI(eval, point(sim.Design(n), r.latX, pair.Naive.Name, r.sched))
+					if err != nil {
+						return nil, err
+					}
+					ratios = append(ratios, pc/nc)
+					relP = append(relP, pc/baseCPI[pair.Pipelined.Name])
+					relN = append(relN, nc/baseCPI[pair.Naive.Name])
+					trunc = trunc || pt || nt
 				}
-				ratios = append(ratios, pc/nc)
-				relP = append(relP, pc/baseCPI[pair.Pipelined.Name])
-				relN = append(relN, nc/baseCPI[pair.Naive.Name])
-				trunc = trunc || pt || nt
+				anyTrunc = anyTrunc || trunc
+				row = append(row, markIf(f2(geomean(ratios)), trunc))
+				scoreP[i] = geomean(relP)
+				scoreN[i] = geomean(relN)
 			}
-			anyTrunc = anyTrunc || trunc
-			row = append(row, markIf(f2(geomean(ratios)), trunc))
-			scoreP[i] = geomean(relP)
-			scoreN[i] = geomean(relN)
-		}
-		bestP, bestN := 0, 0
-		for i := range names {
-			if scoreP[i] < scoreP[bestP] {
-				bestP = i
-			}
-			if scoreN[i] < scoreN[bestN] {
-				bestN = i
-			}
-		}
-		// A flip is a design pair the two rankings order oppositely (strict
-		// on both sides, so ties never count).
-		for i := range names {
-			for j := i + 1; j < len(names); j++ {
-				if (scoreP[i] < scoreP[j] && scoreN[i] > scoreN[j]) ||
-					(scoreP[i] > scoreP[j] && scoreN[i] < scoreN[j]) {
-					flips++
+			bestP, bestN := 0, 0
+			for i := range names {
+				if scoreP[i] < scoreP[bestP] {
+					bestP = i
+				}
+				if scoreN[i] < scoreN[bestN] {
+					bestN = i
 				}
 			}
+			// A flip is a design pair the two rankings order oppositely (strict
+			// on both sides, so ties never count).
+			for i := range names {
+				for j := i + 1; j < len(names); j++ {
+					if (scoreP[i] < scoreP[j] && scoreN[i] > scoreN[j]) ||
+						(scoreP[i] > scoreP[j] && scoreN[i] < scoreN[j]) {
+						flips++
+					}
+				}
+			}
+			row = append(row, names[bestP], names[bestN])
+			t.Rows = append(t.Rows, row)
 		}
-		row = append(row, names[bestP], names[bestN])
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("design-ranking flips between the pipelined and naive orderings: %d design pairs across %d rows", flips, len(rows)))
-	noteTruncation(t, anyTrunc)
-	return t, nil
+		t.Notes = append(t.Notes, fmt.Sprintf("design-ranking flips between the pipelined and naive orderings: %d design pairs across %d rows", flips, len(rows)))
+		noteTruncation(t, anyTrunc)
+		return t, nil
+	})
 }

@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"ltrf/internal/memsys"
 	"ltrf/internal/sim"
-	"ltrf/internal/workloads"
 )
 
 // prefGrid is the latency-multiplier axis of the prefetcher sweep: a subset
@@ -29,8 +29,8 @@ var prefVariants = []struct {
 
 // prefEval evaluates one point and returns its CPI, the memory-event view
 // (the prefetch counters), and the truncation flag.
-func prefEval(o Options, eng *Engine, p Point) (float64, memsys.Events, bool, error) {
-	res, err := eng.Eval(o.ctx(), p)
+func prefEval(eval evalFunc, p Point) (float64, memsys.Events, bool, error) {
+	res, err := eval(p)
 	if err != nil {
 		return 0, memsys.Events{}, false, err
 	}
@@ -56,8 +56,6 @@ func PrefSweep(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := o.engine()
-
 	point := func(d sim.Design, latX float64, wl string, v int) Point {
 		p := o.point(d, 1, latX, wl)
 		p.Prefetch = string(prefVariants[v].mode)
@@ -65,95 +63,76 @@ func PrefSweep(o Options) (*Table, error) {
 		return p
 	}
 
-	var pts []Point
-	for _, pair := range pairs {
-		for _, m := range []workloads.Workload{pair.Pipelined, pair.Naive} {
-			for _, n := range names {
-				for _, x := range prefGrid {
-					for v := range prefVariants {
-						pts = append(pts, point(sim.Design(n), x, m.Name, v))
-					}
-				}
-			}
+	return render(o, func(eval evalFunc) (*Table, error) {
+		headers := []string{"Latency/pref"}
+		headers = append(headers, names...)
+		headers = append(headers, "acc", "cov")
+
+		t := &Table{
+			ID:      "prefsweep",
+			Title:   "Hardware prefetching vs software pipelining: equal-work CPI ratio of each family pair with the prefetcher off, per-warp stride, and CTA-aware",
+			Headers: headers,
+			Notes: []string{
+				"cells: CPI(pipelined)/CPI(naive) under the same design, latency, and prefetcher (geomean over family pairs; <1 = software pipelining wins)",
+				"rows ending /stride run the PC-indexed RPT stride prefetcher; /cta layers the CTA-aware distance tables on it with 4 resident CTAs per SM",
+				"acc: useful/issued prefetches; cov: useful/(useful+L2 demand misses) — both aggregated over the row's designs and family members",
+				"prefetch fills are real DRAM bursts, so issued-but-unused lines still cost chip energy (see the chip energy model)",
+			},
 		}
-	}
-	eng.RunBatch(o.ctx(), o, pts)
 
-	headers := []string{"Latency/pref"}
-	headers = append(headers, names...)
-	headers = append(headers, "acc", "cov")
-
-	t := &Table{
-		ID:      "prefsweep",
-		Title:   "Hardware prefetching vs software pipelining: equal-work CPI ratio of each family pair with the prefetcher off, per-warp stride, and CTA-aware",
-		Headers: headers,
-		Notes: []string{
-			"cells: CPI(pipelined)/CPI(naive) under the same design, latency, and prefetcher (geomean over family pairs; <1 = software pipelining wins)",
-			"rows ending /stride run the PC-indexed RPT stride prefetcher; /cta layers the CTA-aware distance tables on it with 4 resident CTAs per SM",
-			"acc: useful/issued prefetches; cov: useful/(useful+L2 demand misses) — both aggregated over the row's designs and family members",
-			"prefetch fills are real DRAM bursts, so issued-but-unused lines still cost chip energy (see the chip energy model)",
-		},
-	}
-
-	var anyTrunc bool
-	// offRatio[design][pair] at each latency: the control the narrowing
-	// count compares against.
-	narrowed, total := 0, 0
-	for _, x := range prefGrid {
-		offRatio := map[string]map[string]float64{}
-		for v, variant := range prefVariants {
-			row := []string{fmt.Sprintf("%.0fx/%s", x, variant.label)}
-			var issued, useful, misses int64
-			for _, n := range names {
-				var ratios []float64
-				var trunc bool
-				for _, pair := range pairs {
-					pc, pev, pt, err := prefEval(o, eng, point(sim.Design(n), x, pair.Pipelined.Name, v))
-					if err != nil {
-						return nil, err
-					}
-					nc, nev, nt, err := prefEval(o, eng, point(sim.Design(n), x, pair.Naive.Name, v))
-					if err != nil {
-						return nil, err
-					}
-					ratio := pc / nc
-					ratios = append(ratios, ratio)
-					trunc = trunc || pt || nt
-					issued += pev.PrefIssued + nev.PrefIssued
-					useful += pev.PrefUseful + nev.PrefUseful
-					misses += pev.L2Misses + nev.L2Misses
-					if v == 0 {
-						if offRatio[n] == nil {
-							offRatio[n] = map[string]float64{}
+		var anyTrunc bool
+		// offRatio[design][pair] at each latency: the control the narrowing
+		// count compares against.
+		narrowed, total := 0, 0
+		for _, x := range prefGrid {
+			offRatio := map[string]map[string]float64{}
+			for v, variant := range prefVariants {
+				row := []string{fmt.Sprintf("%.0fx/%s", x, variant.label)}
+				var issued, useful, misses int64
+				for _, n := range names {
+					var ratios []float64
+					var trunc bool
+					for _, pair := range pairs {
+						pc, pev, pt, err := prefEval(eval, point(sim.Design(n), x, pair.Pipelined.Name, v))
+						if err != nil {
+							return nil, err
 						}
-						offRatio[n][pair.Family] = ratio
-					} else {
-						total++
-						if off := offRatio[n][pair.Family]; abs(ratio-1) < abs(off-1) {
-							narrowed++
+						nc, nev, nt, err := prefEval(eval, point(sim.Design(n), x, pair.Naive.Name, v))
+						if err != nil {
+							return nil, err
+						}
+						ratio := pc / nc
+						ratios = append(ratios, ratio)
+						trunc = trunc || pt || nt
+						issued += pev.PrefIssued + nev.PrefIssued
+						useful += pev.PrefUseful + nev.PrefUseful
+						misses += pev.L2Misses + nev.L2Misses
+						if v == 0 {
+							if offRatio[n] == nil {
+								offRatio[n] = map[string]float64{}
+							}
+							offRatio[n][pair.Family] = ratio
+						} else {
+							total++
+							if off := offRatio[n][pair.Family]; math.Abs(ratio-1) < math.Abs(off-1) {
+								narrowed++
+							}
 						}
 					}
+					anyTrunc = anyTrunc || trunc
+					row = append(row, markIf(f2(geomean(ratios)), trunc))
 				}
-				anyTrunc = anyTrunc || trunc
-				row = append(row, markIf(f2(geomean(ratios)), trunc))
+				acc, cov := "-", "-"
+				if issued > 0 {
+					acc = f2(float64(useful) / float64(issued))
+					cov = f2(float64(useful) / float64(useful+misses))
+				}
+				row = append(row, acc, cov)
+				t.Rows = append(t.Rows, row)
 			}
-			acc, cov := "-", "-"
-			if issued > 0 {
-				acc = f2(float64(useful) / float64(issued))
-				cov = f2(float64(useful) / float64(useful+misses))
-			}
-			row = append(row, acc, cov)
-			t.Rows = append(t.Rows, row)
 		}
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("prefetching narrows the pipelined-vs-naive gap at %d of %d (design, pair, latency, prefetcher) points", narrowed, total))
-	noteTruncation(t, anyTrunc)
-	return t, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+		t.Notes = append(t.Notes, fmt.Sprintf("prefetching narrows the pipelined-vs-naive gap at %d of %d (design, pair, latency, prefetcher) points", narrowed, total))
+		noteTruncation(t, anyTrunc)
+		return t, nil
+	})
 }

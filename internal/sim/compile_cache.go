@@ -162,10 +162,19 @@ type CompileInfo struct {
 	CapacityKB int
 }
 
-// Compile is the cache-aware equivalent of the package-level Compile: the
-// occupancy decision is recomputed per configuration (it is cheap, and its
-// design CapacityX hook depends on capacity knobs and the kernel), while
-// pressure analysis, allocation, and partition formation are memoized.
+// Compile lowers a (possibly virtual-register) kernel for a configuration:
+// register allocation under the occupancy-derived cap, dead-bit annotation,
+// and prefetch-unit formation where the design requires it. A nil cache
+// compiles without memoizing.
+//
+// Occupancy is driven by the registers the compiler actually allocates
+// (linear-scan pressure), not the tighter max-live bound: allocating at
+// max-live would inject spill code even with no capacity cap.
+//
+// The occupancy decision is recomputed per configuration (it is cheap, and
+// its design CapacityX hook depends on capacity knobs and the kernel),
+// while pressure analysis, allocation, and partition formation are
+// memoized.
 func (cc *CompileCache) Compile(c *Config, virtual *isa.Program) (CompileInfo, error) {
 	desc, err := c.Design.Descriptor()
 	if err != nil {

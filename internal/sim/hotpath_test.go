@@ -14,17 +14,17 @@ func buildTestSM(t testing.TB, c Config, virtual *isa.Program) *SM {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	prog, part, _, warps, _, err := Compile(&c, virtual)
+	info, err := (*CompileCache)(nil).Compile(&c, virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := memsys.NewHierarchy(c.Mem)
 	mem.Shared.SetWorkloadBytes(memsys.WorkloadSharedBytes(virtual))
-	rf, err := buildSubsystem(&c, prog, part, mem.Shared, warps)
+	rf, err := buildSubsystem(&c, info.Prog, info.Part, mem.Shared, info.Warps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSM(&c, prog, part, rf, mem, warps, 0)
+	return newSM(&c, info.Prog, info.Part, rf, mem, info.Warps, 0)
 }
 
 // step advances the SM by one cycle, returning false when the kernel has

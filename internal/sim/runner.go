@@ -84,21 +84,6 @@ func Occupancy(demand, capB, maxWarps, minWarps int) (regCap, warps int) {
 	return regCap, warps
 }
 
-// Compile lowers a (possibly virtual-register) kernel for a configuration:
-// register allocation under the occupancy-derived cap, dead-bit annotation,
-// and prefetch-unit formation where the design requires it.
-//
-// Occupancy is driven by the registers the compiler actually allocates
-// (linear-scan pressure), not the tighter max-live bound: allocating at
-// max-live would inject spill code even with no capacity cap.
-func Compile(c *Config, virtual *isa.Program) (prog *isa.Program, part *core.Partition, demand, warps int, spills int, err error) {
-	info, err := (*CompileCache)(nil).Compile(c, virtual)
-	if err != nil {
-		return nil, nil, 0, 0, 0, err
-	}
-	return info.Prog, info.Part, info.Demand, info.Warps, info.Spills, nil
-}
-
 // buildSubsystem constructs the register-file design under test by
 // resolving the Config's design in the regfile registry: the descriptor's
 // Timing hook may remap the (tech, latency) pair (Ideal pins the baseline

@@ -47,7 +47,7 @@ const (
 
 // Build constructs the kernel with the given unroll factor. The returned
 // program uses virtual registers; register allocation happens per
-// simulation configuration (sim.Compile).
+// simulation configuration (sim.CompileCache.Compile).
 func (w Workload) Build(unroll int) *isa.Program {
 	return w.build(unroll)
 }
