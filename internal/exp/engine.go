@@ -132,6 +132,13 @@ type Engine struct {
 
 	compile *sim.CompileCache
 
+	// The static tables' analyses (tables.go), memoized per engine so a
+	// fresh engine still computes them cold: Table 2's queueing run per
+	// technology config and Table 4's interval measurement per (workload,
+	// trace length).
+	queueing  memo[int, float64]
+	intervals memo[intervalKey, intervalMeasure]
+
 	disk *store.Store // nil = in-process memo only
 
 	// Cross-replica coalescing (lease.go in internal/store): before
@@ -297,6 +304,38 @@ func (e *Engine) virtual(workload string, unroll int) (*isa.Program, error) {
 		ent.prog = w.Build(unroll)
 	})
 	return ent.prog, ent.err
+}
+
+// memo caches a deterministic analysis per key. A failed computation is
+// returned but never cached, so the next caller retries it. Two first
+// callers of one key may both compute it; the analysis is deterministic,
+// so either value is the value. The zero memo is ready to use.
+type memo[K comparable, V any] struct {
+	mu   sync.Mutex
+	m    map[K]V
+	runs int // computations started, failed ones included
+}
+
+func (c *memo[K, V]) get(k K, compute func() (V, error)) (V, error) {
+	c.mu.Lock()
+	v, ok := c.m[k]
+	if !ok {
+		c.runs++
+	}
+	c.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := compute()
+	if err == nil {
+		c.mu.Lock()
+		if c.m == nil {
+			c.m = map[K]V{}
+		}
+		c.m[k] = v
+		c.mu.Unlock()
+	}
+	return v, err
 }
 
 // canon folds Table 3 overrides that equal the design's defaults into the

@@ -8,6 +8,8 @@ import (
 
 	"ltrf/internal/core"
 	"ltrf/internal/isa"
+	"ltrf/internal/memtech"
+	"ltrf/internal/workloads"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -188,6 +190,81 @@ func TestStaticExperimentsFast(t *testing.T) {
 	}
 	if share, _ := f2t.Cell("Pascal (2016)", 4); share != "61%" {
 		t.Errorf("figure2 Pascal RF share = %q, want 61%%", share)
+	}
+}
+
+// TestStaticTablesMemoized pins the warm static tables: a first render of
+// table2 and table4 on an engine runs Table 2's seven distinct queueing
+// measurements (config #1 is both a row and the baseline) and one interval
+// analysis per paper workload, and a second render runs none and prints
+// the same bytes. Table 4's memo is keyed by trace length, so the full
+// budget measures again; the engine's effective latencies equal
+// memtech.EffectiveLatencyX's.
+func TestStaticTablesMemoized(t *testing.T) {
+	eng := NewEngine()
+	o := Options{Quick: true, Engine: eng}
+	render := func() string {
+		t.Helper()
+		var sb strings.Builder
+		for _, run := range []func(Options) (*Table, error){Table2, Table4} {
+			tab, err := run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab.Fprint(&sb)
+		}
+		return sb.String()
+	}
+	nCfg, nWl := len(memtech.Table2), len(workloads.PaperSuite())
+	first := render()
+	if eng.queueing.runs != nCfg || eng.intervals.runs != nWl {
+		t.Fatalf("first render ran %d queueing and %d interval analyses, want %d and %d",
+			eng.queueing.runs, eng.intervals.runs, nCfg, nWl)
+	}
+	if again := render(); again != first {
+		t.Errorf("warm render differs:\n%s\nwant\n%s", again, first)
+	}
+	if eng.queueing.runs != nCfg || eng.intervals.runs != nWl {
+		t.Errorf("warm render recomputed: %d queueing and %d interval analyses in all, want %d and %d",
+			eng.queueing.runs, eng.intervals.runs, nCfg, nWl)
+	}
+
+	o.Quick = false
+	if _, err := Table4(o); err != nil {
+		t.Fatal(err)
+	}
+	if eng.intervals.runs != 2*nWl {
+		t.Errorf("a full-budget table4 ran %d interval analyses in all, want %d", eng.intervals.runs, 2*nWl)
+	}
+
+	for cfg := 1; cfg <= nCfg; cfg++ {
+		base, _ := eng.queueingLatency(1)
+		lat, _ := eng.queueingLatency(cfg)
+		if got, want := lat/base, memtech.EffectiveLatencyX(memtech.MustConfig(cfg), table2Traffic); got != want {
+			t.Errorf("config #%d: memoized effective latency %v, memtech says %v", cfg, got, want)
+		}
+	}
+}
+
+// TestStaticAnalysisFailureNotMemoized asserts that a failed analysis is
+// reported to every caller and computed again by the next one, never
+// cached as a result.
+func TestStaticAnalysisFailureNotMemoized(t *testing.T) {
+	eng := NewEngine()
+	for i := 1; i <= 2; i++ {
+		if _, err := eng.measureIntervals("nosuch", 100); err == nil {
+			t.Fatal("unknown workload measured without error")
+		}
+		if _, err := eng.queueingLatency(0); err == nil {
+			t.Fatal("config #0 measured without error")
+		}
+		if eng.intervals.runs != i || eng.queueing.runs != i {
+			t.Errorf("call %d: %d interval and %d queueing runs, want %d each (failures are retried)",
+				i, eng.intervals.runs, eng.queueing.runs, i)
+		}
+	}
+	if len(eng.intervals.m) != 0 || len(eng.queueing.m) != 0 {
+		t.Errorf("failed analyses were cached: %v, %v", eng.intervals.m, eng.queueing.m)
 	}
 }
 

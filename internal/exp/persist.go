@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"unsafe"
 
 	"ltrf/internal/sim"
 )
@@ -96,6 +97,10 @@ type storedResult struct {
 // bytes, float64 as its IEEE bits, bool as one byte (0 or 1), string as an
 // 8-byte length and then its bytes. A decoder must consume the payload
 // exactly, so every payload has one decoding and every Result one encoding.
+//
+// The reflection walk runs once, at package initialisation: it records
+// each leaf's byte offset from the root, and encode and decode then read
+// and write the fields in place through those offsets.
 type layout struct {
 	leaves      []leaf
 	fixed       int    // payload bytes excluding string contents
@@ -103,8 +108,8 @@ type layout struct {
 }
 
 type leaf struct {
-	index []int // reflect.Value.FieldByIndex path from the root
-	kind  reflect.Kind
+	offset uintptr // byte offset of the field from the start of the root
+	kind   reflect.Kind
 }
 
 var resultLayout = layoutOf(reflect.TypeOf(storedResult{}))
@@ -115,11 +120,11 @@ var resultLayout = layoutOf(reflect.TypeOf(storedResult{}))
 func layoutOf(t reflect.Type) *layout {
 	l := &layout{}
 	h := sha256.New()
-	var walk func(t reflect.Type, index []int, path string)
-	walk = func(t reflect.Type, index []int, path string) {
+	var walk func(t reflect.Type, offset uintptr, path string)
+	walk = func(t reflect.Type, offset uintptr, path string) {
 		for i := range t.NumField() {
 			f := t.Field(i)
-			idx := append(index[:len(index):len(index)], i)
+			off := offset + f.Offset
 			p := path + f.Name
 			if !f.IsExported() {
 				panic(fmt.Sprintf("exp: stored field %s is unexported", p))
@@ -127,7 +132,7 @@ func layoutOf(t reflect.Type) *layout {
 			k := f.Type.Kind()
 			switch k {
 			case reflect.Struct:
-				walk(f.Type, idx, p+".")
+				walk(f.Type, off, p+".")
 				continue
 			case reflect.Int, reflect.Int64, reflect.Float64, reflect.String:
 				l.fixed += 8
@@ -137,32 +142,36 @@ func layoutOf(t reflect.Type) *layout {
 				panic(fmt.Sprintf("exp: stored field %s has unsupported kind %s", p, k))
 			}
 			fmt.Fprintf(h, "%s %s\n", p, k)
-			l.leaves = append(l.leaves, leaf{index: idx, kind: k})
+			l.leaves = append(l.leaves, leaf{offset: off, kind: k})
 		}
 	}
-	walk(t, nil, "")
+	walk(t, 0, "")
 	l.fingerprint = hex.EncodeToString(h.Sum(nil)[:4])
 	return l
 }
 
-// encode appends v's payload to buf.
-func (l *layout) encode(buf []byte, v reflect.Value) []byte {
+// encode appends the payload of the value at root, which must point to a
+// value of the type the layout was built from, to buf.
+func (l *layout) encode(buf []byte, root unsafe.Pointer) []byte {
 	for _, lf := range l.leaves {
-		f := v.FieldByIndex(lf.index)
+		f := unsafe.Add(root, lf.offset)
 		switch lf.kind {
-		case reflect.Int, reflect.Int64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Int()))
+		case reflect.Int:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(*(*int)(f)))
+		case reflect.Int64:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(*(*int64)(f)))
 		case reflect.Float64:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.Float()))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(*(*float64)(f)))
 		case reflect.Bool:
 			b := byte(0)
-			if f.Bool() {
+			if *(*bool)(f) {
 				b = 1
 			}
 			buf = append(buf, b)
 		case reflect.String:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Len()))
-			buf = append(buf, f.String()...)
+			s := *(*string)(f)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+			buf = append(buf, s...)
 		}
 	}
 	return buf
@@ -170,10 +179,11 @@ func (l *layout) encode(buf []byte, v reflect.Value) []byte {
 
 var errShortPayload = errors.New("short payload")
 
-// decode fills v (addressable) from data, which it must consume exactly.
-func (l *layout) decode(data []byte, v reflect.Value) error {
+// decode fills the value at root, which must point to a value of the type
+// the layout was built from, from data, which it must consume exactly.
+func (l *layout) decode(data []byte, root unsafe.Pointer) error {
 	for _, lf := range l.leaves {
-		f := v.FieldByIndex(lf.index)
+		f := unsafe.Add(root, lf.offset)
 		if lf.kind == reflect.Bool {
 			if len(data) < 1 {
 				return errShortPayload
@@ -181,7 +191,7 @@ func (l *layout) decode(data []byte, v reflect.Value) error {
 			if data[0] > 1 {
 				return fmt.Errorf("bool byte %d", data[0])
 			}
-			f.SetBool(data[0] == 1)
+			*(*bool)(f) = data[0] == 1
 			data = data[1:]
 			continue
 		}
@@ -191,15 +201,17 @@ func (l *layout) decode(data []byte, v reflect.Value) error {
 		u := binary.LittleEndian.Uint64(data)
 		data = data[8:]
 		switch lf.kind {
-		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(u))
+		case reflect.Int:
+			*(*int)(f) = int(int64(u))
+		case reflect.Int64:
+			*(*int64)(f) = int64(u)
 		case reflect.Float64:
-			f.SetFloat(math.Float64frombits(u))
+			*(*float64)(f) = math.Float64frombits(u)
 		case reflect.String:
 			if u > uint64(len(data)) {
 				return fmt.Errorf("string length %d exceeds the %d bytes left", u, len(data))
 			}
-			f.SetString(string(data[:u]))
+			*(*string)(f) = string(data[:u])
 			data = data[u:]
 		}
 	}
@@ -216,12 +228,12 @@ func encodeResult(res *sim.Result) []byte {
 		Capacity: res.Capacity,
 		Kernel:   res.Kernel,
 	}
-	return resultLayout.encode(make([]byte, 0, resultLayout.fixed+len(sr.Kernel)), reflect.ValueOf(&sr).Elem())
+	return resultLayout.encode(make([]byte, 0, resultLayout.fixed+len(sr.Kernel)), unsafe.Pointer(&sr))
 }
 
 func decodeResult(p Point, data []byte) (*sim.Result, error) {
 	var sr storedResult
-	if err := resultLayout.decode(data, reflect.ValueOf(&sr).Elem()); err != nil {
+	if err := resultLayout.decode(data, unsafe.Pointer(&sr)); err != nil {
 		return nil, fmt.Errorf("exp: stored result for %s: %w", p.storeKey(), err)
 	}
 	// A checksum-valid entry can still be semantically impossible (e.g.

@@ -3,8 +3,10 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -317,20 +319,156 @@ func filledResult() *sim.Result {
 	return &sim.Result{Stats: sr.Stats, Demand: sr.Demand, Capacity: sr.Capacity, Kernel: sr.Kernel}
 }
 
+// reflectEncode is the payload format written out by a reflection walk of
+// its own over v — the test oracle for the offset codec (layout.encode).
+func reflectEncode(buf []byte, v reflect.Value) []byte {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Struct:
+			buf = reflectEncode(buf, f)
+		case reflect.Int, reflect.Int64:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Int()))
+		case reflect.Float64:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.Float()))
+		case reflect.Bool:
+			b := byte(0)
+			if f.Bool() {
+				b = 1
+			}
+			buf = append(buf, b)
+		case reflect.String:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Len()))
+			buf = append(buf, f.String()...)
+		default:
+			panic("reflectEncode: unhandled kind " + f.Kind().String())
+		}
+	}
+	return buf
+}
+
+// reflectDecode is the oracle for layout.decode: it fills v (addressable)
+// from data by a reflection walk and returns the bytes it did not consume.
+func reflectDecode(data []byte, v reflect.Value) ([]byte, error) {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		if f.Kind() == reflect.Struct {
+			var err error
+			if data, err = reflectDecode(data, f); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if f.Kind() == reflect.Bool {
+			if len(data) < 1 || data[0] > 1 {
+				return nil, errors.New("bad bool")
+			}
+			f.SetBool(data[0] == 1)
+			data = data[1:]
+			continue
+		}
+		if len(data) < 8 {
+			return nil, errShortPayload
+		}
+		u := binary.LittleEndian.Uint64(data)
+		data = data[8:]
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(u))
+		case reflect.Float64:
+			f.SetFloat(math.Float64frombits(u))
+		case reflect.String:
+			if u > uint64(len(data)) {
+				return nil, errors.New("bad string length")
+			}
+			f.SetString(string(data[:u]))
+			data = data[u:]
+		default:
+			panic("reflectDecode: unhandled kind " + f.Kind().String())
+		}
+	}
+	return data, nil
+}
+
+// oracleDecode decodes a whole payload with the reflective oracle; ok is
+// false when the oracle rejects it.
+func oracleDecode(data []byte) (sr storedResult, ok bool) {
+	rest, err := reflectDecode(data, reflect.ValueOf(&sr).Elem())
+	return sr, err == nil && len(rest) == 0 && sr.Stats.Cycles > 0
+}
+
 // TestStoredResultRoundTripsEveryField encodes a storedResult whose every
-// leaf holds a distinct non-zero value and requires the decode to equal it.
+// leaf holds a distinct non-zero value and requires the codec to write the
+// reflective oracle's bytes and the decode to equal the input.
 func TestStoredResultRoundTripsEveryField(t *testing.T) {
 	want := filledResult()
 	data := encodeResult(want)
+	sr := storedOf(want)
+	if oracle := reflectEncode(nil, reflect.ValueOf(sr)); !bytes.Equal(data, oracle) {
+		t.Fatalf("codec bytes differ from the reflective oracle:\n got %x\nwant %x", data, oracle)
+	}
 	got, err := decodeResult(quickPoint(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(storedOf(got), storedOf(want)) {
-		t.Errorf("round trip differs:\n got %+v\nwant %+v", storedOf(got), storedOf(want))
+	if !reflect.DeepEqual(storedOf(got), sr) {
+		t.Errorf("round trip differs:\n got %+v\nwant %+v", storedOf(got), sr)
 	}
 	if n := resultLayout.fixed + len(want.Kernel); len(data) != n {
 		t.Errorf("payload is %d bytes, layout says %d", len(data), n)
+	}
+}
+
+// The compatibility fixture: a payload the reflective encoder wrote for
+// quickPoint() under storeVersionV2, before the codec moved to field
+// offsets. Stores written then must keep hitting.
+const (
+	storeVersionV2      = "ltrf-exp/v2/5116e192"
+	storedResultV2Path  = "testdata/stored_result_quick_ltrf_vectoradd.bin"
+	storedResultV2PtKey = "design=LTRF;tech=1;latx=1;wl=vectoradd;unroll=3;budget=12000;rpi=0;aw=0"
+)
+
+// TestStoredResultReadsRecordedPayload decodes the recorded payload and
+// requires a Result DeepEqual to a fresh evaluation of the same point, at
+// an unchanged StoreVersion and store key.
+func TestStoredResultReadsRecordedPayload(t *testing.T) {
+	if v := StoreVersion(); v != storeVersionV2 {
+		t.Fatalf("StoreVersion() = %q, want %q: existing stores would miss", v, storeVersionV2)
+	}
+	p := quickPoint()
+	if k := p.canon().storeKey(); k != storedResultV2PtKey {
+		t.Fatalf("store key = %q, want %q", k, storedResultV2PtKey)
+	}
+	data, err := os.ReadFile(storedResultV2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeResult(p, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine().Eval(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded payload decodes to\n%+v\nwant a fresh evaluation's\n%+v", got, want)
+	}
+	if again := encodeResult(got); !bytes.Equal(again, data) {
+		t.Errorf("recorded payload re-encodes differently:\n got %x\nwant %x", again, data)
+	}
+
+	// Stored under its key, the payload serves the point with no simulation.
+	st := openTestStore(t, t.TempDir())
+	if err := st.Put(storedResultV2PtKey, data); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngineWithStore(st)
+	if _, err := eng.Eval(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Sims() != 0 || eng.StoreHits() != 1 {
+		t.Errorf("recorded entry: sims=%d hits=%d, want a store hit (0/1)", eng.Sims(), eng.StoreHits())
 	}
 }
 
@@ -417,7 +555,9 @@ func TestLayoutFingerprintTracksFields(t *testing.T) {
 }
 
 // FuzzStoredResult feeds arbitrary bytes to decodeResult. It must never
-// panic; a payload it accepts must re-encode to exactly the same bytes.
+// panic, it must accept exactly what the reflective oracle accepts and
+// decode it to the same value, and a payload it accepts must re-encode to
+// exactly the same bytes.
 func FuzzStoredResult(f *testing.F) {
 	p := quickPoint()
 	f.Add(encodeResult(filledResult()))
@@ -425,8 +565,15 @@ func FuzzStoredResult(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := decodeResult(p, data)
+		want, ok := oracleDecode(data)
+		if (err == nil) != ok {
+			t.Fatalf("decode error %v, but the oracle accepts: %v", err, ok)
+		}
 		if err != nil {
 			return
+		}
+		if got := storedOf(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode differs from the oracle:\n got %+v\nwant %+v", got, want)
 		}
 		if again := encodeResult(res); !bytes.Equal(again, data) {
 			t.Fatalf("accepted payload re-encodes differently:\n  in %x\n out %x", data, again)
@@ -476,6 +623,19 @@ func TestStoreKeyMatchesFmt(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkDecodeResult decodes one stored record into a Result: the
+// payload codec and the Config rebuild, without the store read.
+func BenchmarkDecodeResult(b *testing.B) {
+	p := quickPoint()
+	data := encodeResult(filledResult())
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := decodeResult(p, data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

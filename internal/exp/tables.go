@@ -84,10 +84,22 @@ func Table2(o Options) (*Table, error) {
 			"paper latency column: 1x 1.25x 1.5x 1.6x 2.8x 5.3x 6.3x",
 		},
 	}
+	eng := o.engine()
+	lat := make([]float64, len(memtech.Table2)) // queueing-inclusive latency per config
+	err := parallelEach(o, len(lat), func(i int) (err error) {
+		lat[i], err = eng.queueingLatency(i + 1)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	for i := 1; i <= len(memtech.Table2); i++ {
 		p := memtech.MustConfig(i)
 		m := p.Metrics()
-		eff := memtech.EffectiveLatencyX(p, 1.0)
+		eff := 0.0 // memtech.EffectiveLatencyX(p, 1.0), from the memoized runs
+		if lat[0] != 0 {
+			eff = lat[i-1] / lat[0]
+		}
 		t.Rows = append(t.Rows, []string{
 			p.Name, p.Cell.String(),
 			fmt.Sprintf("%d", p.Banks), fmt.Sprintf("%d", p.BankKB), p.Network.String(),
@@ -97,6 +109,22 @@ func Table2(o Options) (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// table2Traffic is the operand-request rate, in requests per cycle, of
+// Table 2's queueing measurement.
+const table2Traffic = 1.0
+
+// queueingLatency is memtech.QueueingLatency of Table 2 config cfg at
+// table2Traffic, run once per engine.
+func (e *Engine) queueingLatency(cfg int) (float64, error) {
+	return e.queueing.get(cfg, func() (float64, error) {
+		p, err := memtech.Config(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return memtech.QueueingLatency(p, table2Traffic), nil
+	})
 }
 
 // traceKernel replays a kernel's dynamic instruction stream for one
@@ -206,7 +234,6 @@ func optimalIntervalLengths(p *isa.Program, trace []int, starts []int, n int) []
 // dynamic lengths of real register-intervals vs. the optimal upper bound,
 // across the 35 workloads.
 func Table4(o Options) (*Table, error) {
-	const n = 16
 	traceLen := 4000
 	if o.Quick {
 		traceLen = 1500
@@ -237,33 +264,12 @@ func Table4(o Options) (*Table, error) {
 	// Per-workload measurement is independent: analyze in parallel into
 	// index-addressed slots, then aggregate serially in suite order so the
 	// statistics are identical at any parallelism.
-	type measurement struct {
-		ok         bool
-		rAvg, oAvg float64
-		multi      bool
-	}
 	wsAll := workloads.PaperSuite()
 	eng := o.engine()
-	ms := make([]measurement, len(wsAll))
-	err := parallelEach(o, len(wsAll), func(i int) error {
-		w := wsAll[i]
-		prog, part, err := eng.Intervals(w.Name, workloads.UnrollMaxwell, 255, n)
-		if err != nil {
-			return fmt.Errorf("table4: %s: %w", w.Name, err)
-		}
-		trace := traceKernel(prog, traceLen, 7)
-		real, starts := dynamicIntervalLengths(part, trace)
-		opt := optimalIntervalLengths(prog, trace, starts, n)
-		if len(real) == 0 || len(opt) == 0 {
-			return nil
-		}
-		ms[i] = measurement{
-			ok:    true,
-			rAvg:  meanInts(real),
-			oAvg:  meanInts(opt),
-			multi: part.NumUnits() >= 4,
-		}
-		return nil
+	ms := make([]intervalMeasure, len(wsAll))
+	err := parallelEach(o, len(wsAll), func(i int) (err error) {
+		ms[i], err = eng.measureIntervals(wsAll[i].Name, traceLen)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -298,6 +304,46 @@ func Table4(o Options) (*Table, error) {
 		[]string{"Optimal (all 35)", f1(mean(all.optAvgs)), fmt.Sprintf("%d", all.optMin), fmt.Sprintf("%d", all.optMax)},
 	)
 	return t, nil
+}
+
+// table4Regs is Table 4's register budget per interval (the paper's N).
+const table4Regs = 16
+
+type intervalKey struct {
+	workload string
+	traceLen int
+}
+
+// intervalMeasure is one workload's Table 4 measurement: the mean real and
+// optimal interval lengths over a traceLen-instruction trace (ok is false
+// when the trace has no interval to measure), and whether the kernel spans
+// several intervals.
+type intervalMeasure struct {
+	ok         bool
+	rAvg, oAvg float64
+	multi      bool
+}
+
+// measureIntervals measures one workload for Table 4, once per engine.
+func (e *Engine) measureIntervals(workload string, traceLen int) (intervalMeasure, error) {
+	return e.intervals.get(intervalKey{workload, traceLen}, func() (intervalMeasure, error) {
+		prog, part, err := e.Intervals(workload, workloads.UnrollMaxwell, 255, table4Regs)
+		if err != nil {
+			return intervalMeasure{}, fmt.Errorf("table4: %s: %w", workload, err)
+		}
+		trace := traceKernel(prog, traceLen, 7)
+		real, starts := dynamicIntervalLengths(part, trace)
+		opt := optimalIntervalLengths(prog, trace, starts, table4Regs)
+		if len(real) == 0 || len(opt) == 0 {
+			return intervalMeasure{}, nil
+		}
+		return intervalMeasure{
+			ok:    true,
+			rAvg:  meanInts(real),
+			oAvg:  meanInts(opt),
+			multi: part.NumUnits() >= 4,
+		}, nil
+	})
 }
 
 func meanInts(vs []int) float64 {

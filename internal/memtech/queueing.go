@@ -46,13 +46,17 @@ func SimulateQueueing(p Params, reqsPerCycle float64, cycles int, seed uint64) f
 	return float64(totalLat) / float64(nReq)
 }
 
+// QueueingLatency is SimulateQueueing over the fixed 200k-cycle traffic
+// window and seed that Table 2's effective-latency column measures with.
+func QueueingLatency(p Params, reqsPerCycle float64) float64 {
+	return SimulateQueueing(p, reqsPerCycle, 200000, 0x5EED)
+}
+
 // EffectiveLatencyX returns the queueing-inclusive access latency of p
 // relative to the baseline configuration #1 under identical traffic.
 func EffectiveLatencyX(p Params, reqsPerCycle float64) float64 {
-	const cycles = 200000
-	const seed = 0x5EED
-	base := SimulateQueueing(Table2[0], reqsPerCycle, cycles, seed)
-	this := SimulateQueueing(p, reqsPerCycle, cycles, seed)
+	base := QueueingLatency(Table2[0], reqsPerCycle)
+	this := QueueingLatency(p, reqsPerCycle)
 	if base == 0 {
 		return 0
 	}

@@ -71,7 +71,8 @@ type leaseRecord struct {
 // LeasePath returns the on-disk lease file path for key (exported for
 // crash-simulation tests that plant stale leases by hand).
 func (s *Store) LeasePath(key string) string {
-	return filepath.Join(s.dir, "lease", s.addr(key)+".lease")
+	a := s.addr(key)
+	return filepath.Join(s.dir, "lease", string(a[:])+".lease")
 }
 
 // LeasesAcquired, LeaseWaits, and LeaseTakeovers report the lease protocol's

@@ -24,6 +24,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -33,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -118,10 +118,15 @@ type Options struct {
 // too (atomic rename publishes entries, and identical keys carry identical
 // payloads, so write races are benign).
 type Store struct {
-	dir     string
-	version string
-	inj     Injector
-	retry   RetryPolicy
+	dir   string
+	inj   Injector
+	retry RetryPolicy
+
+	// Built once at Open for Path: the hash input's version prefix
+	// (Options.Version + "\x00") and the cleaned directory prefix every
+	// entry path starts with.
+	seed   string
+	prefix string
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -147,13 +152,23 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
 	}
+	return newStore(dir, opts), nil
+}
+
+// newStore builds the handle Open returns, without touching the disk.
+func newStore(dir string, opts Options) *Store {
+	// filepath.Join cleans; a name made only of hex digits and ".rec"
+	// never interacts with the cleaning, so Join(dir, "x") minus its "x"
+	// is the prefix Join(dir, a[:2], a+".rec") would build each time.
+	prefix := filepath.Join(dir, "x")
 	return &Store{
-		dir:     dir,
-		version: opts.Version,
-		inj:     opts.Injector,
-		retry:   opts.Retry.normalized(),
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
-	}, nil
+		dir:    dir,
+		inj:    opts.Injector,
+		retry:  opts.Retry.normalized(),
+		seed:   opts.Version + "\x00",
+		prefix: prefix[:len(prefix)-1],
+		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
+	}
 }
 
 // Dir returns the store's root directory.
@@ -179,17 +194,19 @@ func (s *Store) Has(key string) bool {
 	return err == nil
 }
 
-// addr hashes (version, key) to the entry's content address.
-func (s *Store) addr(key string) string {
-	h := sha256.Sum256([]byte(s.version + "\x00" + key))
-	return hex.EncodeToString(h[:])
+// addr hashes (version, key) to the entry's content address, in hex.
+func (s *Store) addr(key string) (a [2 * sha256.Size]byte) {
+	var buf [256]byte // keys fit it; a longer one spills to the heap
+	sum := sha256.Sum256(append(append(buf[:0], s.seed...), key...))
+	hex.Encode(a[:], sum[:])
+	return a
 }
 
 // Path returns the on-disk path an entry for key would occupy. Entries are
 // sharded by the first address byte to keep directories small.
 func (s *Store) Path(key string) string {
 	a := s.addr(key)
-	return filepath.Join(s.dir, a[:2], a+".rec")
+	return s.prefix + string(a[:2]) + string(filepath.Separator) + string(a[:]) + ".rec"
 }
 
 // withRetry runs op, retrying transient failures per the policy.
@@ -360,30 +377,22 @@ func readEntry(path string) ([]byte, error) {
 	}
 }
 
-// verify parses the header line and checks the payload checksum.
+// verify parses the header line and checks the payload checksum. It reads
+// the header in place, so a good entry costs no allocation here.
 func verify(data []byte) ([]byte, bool) {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
+	header, payload, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
 		return nil, false
 	}
-	header := string(data[:nl])
-	payload := data[nl+1:]
-	magic, sumHex, ok := strings.Cut(header, " ")
-	if !ok || magic != headerMagic {
+	magic, sumHex, ok := bytes.Cut(header, []byte{' '})
+	if !ok || string(magic) != headerMagic || len(sumHex) != hex.EncodedLen(sha256.Size) {
 		return nil, false
 	}
-	want, err := hex.DecodeString(sumHex)
-	if err != nil || len(want) != sha256.Size {
+	var want [sha256.Size]byte
+	if _, err := hex.Decode(want[:], sumHex); err != nil {
 		return nil, false
 	}
-	got := sha256.Sum256(payload)
-	if string(got[:]) != string(want) {
+	if sha256.Sum256(payload) != want {
 		return nil, false
 	}
 	return payload, true

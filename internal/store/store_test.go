@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -363,5 +365,80 @@ func BenchmarkStoreGet(b *testing.B) {
 		if _, err := s.Get("k"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPathMatchesRecorded pins Path byte for byte to what the
+// filepath.Join implementation it replaced returned for the same (dir,
+// version, key): a path that drifts misses every entry already stored.
+func TestPathMatchesRecorded(t *testing.T) {
+	if filepath.Separator != '/' {
+		t.Skip("paths were recorded with a '/' separator")
+	}
+	const (
+		version = "ltrf-exp/v2/3b0ba5c1"
+		key     = "design=LTRF;tech=1;latx=1;wl=vectoradd;unroll=4;budget=12000;rpi=0;aw=0"
+		entry   = "4c/4c778abd0c9b5fc9b3f0dd59588f5ab7405efbb0d2007132251e62344135d1bc.rec"
+	)
+	for _, c := range []struct{ dir, path string }{
+		{"", entry},
+		{".", entry},
+		{"/", "/" + entry},
+		{"store", "store/" + entry},
+		{"./store/", "store/" + entry},
+		{"/var/lib/ltrf/store", "/var/lib/ltrf/store/" + entry},
+		{"a//b/../c/.", "a/c/" + entry},
+		{"../up", "../up/" + entry},
+		{"/x/y/..", "/x/" + entry},
+	} {
+		if got := newStore(c.dir, Options{Version: version}).Path(key); got != c.path {
+			t.Errorf("Path in dir %q = %q, want %q", c.dir, got, c.path)
+		}
+	}
+}
+
+// TestGetReadsRecordedEntry reads an entry file exactly as an earlier
+// build's Put wrote it: the in-place header check must accept it and
+// return the payload, embedded newline included.
+func TestGetReadsRecordedEntry(t *testing.T) {
+	s := open(t, t.TempDir(), Options{Version: "v1"})
+	writeEntry(t, s, []byte("ltrf-store/1 9679b3b2d358991974d28256a929b8440091431c61b1935cf72ddca95da9cfc6\npayload\nwith a newline"))
+	got, err := s.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "payload\nwith a newline"; string(got) != want {
+		t.Errorf("Get = %q, want %q", got, want)
+	}
+}
+
+// TestPathLongKey checks a key too long for addr's stack buffer against
+// the address recomputed from scratch.
+func TestPathLongKey(t *testing.T) {
+	s := newStore("d", Options{Version: "v1"})
+	key := string(bytes.Repeat([]byte("k"), 1000))
+	sum := sha256.Sum256([]byte("v1\x00" + key))
+	a := hex.EncodeToString(sum[:])
+	if got, want := s.Path(key), filepath.Join("d", a[:2], a+".rec"); got != want {
+		t.Errorf("Path = %q, want %q", got, want)
+	}
+}
+
+// TestGetHitAllocations caps a Get hit's heap allocations at three: the
+// entry path, its NUL-terminated copy for the open syscall, and the read
+// buffer the payload is returned in. Nothing Open already knows is rebuilt
+// per call, and the header is verified in place.
+func TestGetHitAllocations(t *testing.T) {
+	s := open(t, t.TempDir(), Options{Version: "v1"})
+	if err := s.Put("k", make([]byte, 551)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Get("k"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Get hit allocates %.0f times, want at most 3", allocs)
 	}
 }
