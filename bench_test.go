@@ -1,6 +1,6 @@
 // Benchmark harness: one sub-benchmark per registered experiment (each
-// regenerates the artifact's data in quick mode), plus ablation benchmarks
-// for the design choices the paper's evaluation varies.
+// regenerates the artifact's data in quick mode), LTRF's interval-budget and
+// strand ablations, the register-file designs, the compiler and raw speed.
 //
 // Run everything with:
 //
@@ -40,8 +40,6 @@ func BenchmarkExperiments(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks ---
-
 func benchSim(b *testing.B, o ltrf.SimOptions, workload string) {
 	b.Helper()
 	w, err := ltrf.WorkloadByName(workload)
@@ -61,33 +59,23 @@ func benchSim(b *testing.B, o ltrf.SimOptions, workload string) {
 	b.ReportMetric(lastIPC, "IPC")
 }
 
-// BenchmarkAblationCrossbarNarrow measures LTRF with the paper's 4x-narrow
-// prefetch crossbar (§4.2) at a 6.3x-slow main RF.
-func BenchmarkAblationCrossbarNarrow(b *testing.B) {
-	benchSim(b, ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 6.3}, "sgemm")
-}
-
-// BenchmarkAblationSchedulerTwoLevel measures LTRF under the default
-// two-level scheduler.
-func BenchmarkAblationSchedulerTwoLevel(b *testing.B) {
-	benchSim(b, ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 6.3, ActiveWarps: 8}, "stencil")
-}
-
-// BenchmarkAblationIntervalBudget8/16/32 expose the Figure 12 knob.
-func BenchmarkAblationIntervalBudget8(b *testing.B) {
-	benchSim(b, ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 6.3, IntervalRegs: 8}, "sgemm")
-}
-func BenchmarkAblationIntervalBudget16(b *testing.B) {
-	benchSim(b, ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 6.3, IntervalRegs: 16}, "sgemm")
-}
-func BenchmarkAblationIntervalBudget32(b *testing.B) {
-	benchSim(b, ltrf.SimOptions{Design: ltrf.LTRF, LatencyX: 6.3, IntervalRegs: 32}, "sgemm")
-}
-
-// BenchmarkAblationStrandPrefetch measures the §6.6 strand-granularity
-// ablation of LTRF.
-func BenchmarkAblationStrandPrefetch(b *testing.B) {
-	benchSim(b, ltrf.SimOptions{Design: ltrf.LTRFStrand, LatencyX: 6.3}, "sgemm")
+// BenchmarkAblations measures LTRF at 6.3x on sgemm under each Figure 12
+// interval budget (N = 16 is the default) and with §6.6 strand prefetch.
+func BenchmarkAblations(b *testing.B) {
+	for _, a := range []struct {
+		name string
+		o    ltrf.SimOptions
+	}{
+		{"IntervalBudget8", ltrf.SimOptions{Design: ltrf.LTRF, IntervalRegs: 8}},
+		{"IntervalBudget16", ltrf.SimOptions{Design: ltrf.LTRF, IntervalRegs: 16}},
+		{"IntervalBudget32", ltrf.SimOptions{Design: ltrf.LTRF, IntervalRegs: 32}},
+		{"StrandPrefetch", ltrf.SimOptions{Design: ltrf.LTRFStrand}},
+	} {
+		b.Run(a.name, func(b *testing.B) {
+			a.o.LatencyX = 6.3
+			benchSim(b, a.o, "sgemm")
+		})
+	}
 }
 
 // BenchmarkDesigns measures every register-file design on one kernel at the

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -472,6 +473,69 @@ func TestMetaExposesLeaseCounters(t *testing.T) {
 	}
 	if sm.Puts != 1 {
 		t.Errorf("puts = %d, want 1", sm.Puts)
+	}
+}
+
+// TestTwoReplicaSweepComputesEachPointOnce fires the same all-cold grid at
+// two servers sharing one store directory, at once: each stream delivers
+// every point, and the store's leases split the cold work so the pair
+// simulates each point exactly once between them.
+func TestTwoReplicaSweepComputesEachPointOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	var engines [2]*exp.Engine
+	var urls [2]string
+	for i := range engines {
+		st, err := store.Open(dir, store.Options{Version: exp.StoreVersion()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = exp.NewEngineWithStore(st)
+		_, ts := newTestServer(t, Config{Engine: engines[i]})
+		urls[i] = ts.URL
+	}
+	// The store is fresh and no other test uses this budget: every point is cold.
+	const points = 8
+	body := `{"designs":["BL","RFC","LTRF","LTRF+"],"workloads":["vectoradd"],"latency_xs":[1,2],"budget":3001}`
+	// A sweep's headers arrive with its first record, so each request goes
+	// from its own goroutine, where postSweep's t.Fatal must not run.
+	var wg sync.WaitGroup
+	var resps [2]*http.Response
+	var errs [2]error
+	for i, u := range urls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = http.Post(u+"/v1/sweep", "application/json", strings.NewReader(body))
+		}()
+	}
+	wg.Wait()
+
+	for i, resp := range resps {
+		if errs[i] != nil {
+			t.Fatalf("replica %d: %v", i, errs[i])
+		}
+		var sum sweepLine
+		seen := map[int]bool{}
+		for _, l := range decodeSweepStream(t, resp) {
+			switch {
+			case l.Type == "summary":
+				sum = l
+			case l.Type == "result" && !seen[l.Index]:
+				seen[l.Index] = true
+			case l.Type != "heartbeat":
+				t.Errorf("replica %d: unexpected %s record for index %d", i, l.Type, l.Index)
+			}
+		}
+		if len(seen) != points || sum.Points != points || sum.OK != points {
+			t.Errorf("replica %d: %d distinct points delivered, summary %+v; want %d, all ok", i, len(seen), sum, points)
+		}
+	}
+	if sims := engines[0].Sims() + engines[1].Sims(); sims != points {
+		t.Errorf("the replicas simulated %d points between them, want exactly %d (%d + %d)",
+			sims, points, engines[0].Sims(), engines[1].Sims())
 	}
 }
 
