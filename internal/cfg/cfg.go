@@ -1,8 +1,11 @@
-// Package cfg builds control-flow graphs over isa.Programs and provides the
-// classic analyses the LTRF compiler passes depend on: dominators, natural
-// loops, reducibility, and Cocke–Allen interval analysis (Hecht [22] in the
-// paper's references). Register-interval formation (internal/core) is a
-// constrained variant of the interval partition computed here.
+// Package cfg builds the control-flow graph of an isa.Program: basic blocks
+// split at branches, exits and function calls, their successor and
+// predecessor edges, block lookup by instruction, and the (reverse)
+// postorder traversals dataflow analyses iterate in. Liveness analysis,
+// register allocation and register-interval formation all work on this
+// graph; interval formation (internal/core) runs its two passes directly
+// over the blocks (§3.3) and starts afresh at the blocks marked as call
+// boundaries.
 package cfg
 
 import (

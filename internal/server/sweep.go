@@ -200,7 +200,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sweep-Points", strconv.Itoa(len(pts)))
 	w.WriteHeader(http.StatusOK)
 	flush := http.NewResponseController(w).Flush // a writer that cannot flush makes it a no-op
-	enc := json.NewEncoder(w)                    // one Encode per record; Encode appends '\n'
+	// The client learns the sweep is accepted, and its size, before any
+	// point is computed.
+	flush()
+	enc := json.NewEncoder(w) // one Encode per record; Encode appends '\n'
 
 	ticker := time.NewTicker(s.cfg.SweepHeartbeat)
 	defer ticker.Stop()

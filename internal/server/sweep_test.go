@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -188,6 +187,38 @@ func TestSweepWarmRecordArrivesBeforeColdSimulationFinishes(t *testing.T) {
 	last := rest[len(rest)-1]
 	if last.Type != "summary" || last.Points != 2 || last.OK != 2 || last.Errors != 0 {
 		t.Errorf("summary = %+v", last)
+	}
+}
+
+// TestSweepHeadersArriveBeforeAnyPoint asserts a sweep's status and grid
+// size reach the client as soon as the sweep is accepted, not with its
+// first record: a one-point grid whose only point cannot finish before the
+// request deadline still answers client.Do within a second, and the stream
+// still ends in a summary.
+func TestSweepHeadersArriveBeforeAnyPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	_, ts := newTestServer(t, Config{})
+	body := `{"designs":["` + faultinject.DesignHang + `"],"workloads":["vectoradd"],"budget":2000,"timeout_ms":3000}`
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Errorf("headers arrived after %v, want within 1s", waited)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Sweep-Points") != "1" {
+		t.Errorf("status %d, X-Sweep-Points %q; want 200 and 1", resp.StatusCode, resp.Header.Get("X-Sweep-Points"))
+	}
+	lines := decodeSweepStream(t, resp)
+	if last := lines[len(lines)-1]; last.Type != "summary" || last.Points != 1 {
+		t.Errorf("terminal record = %+v, want a one-point summary", last)
 	}
 }
 
@@ -499,24 +530,18 @@ func TestTwoReplicaSweepComputesEachPointOnce(t *testing.T) {
 	// The store is fresh and no other test uses this budget: every point is cold.
 	const points = 8
 	body := `{"designs":["BL","RFC","LTRF","LTRF+"],"workloads":["vectoradd"],"latency_xs":[1,2],"budget":3001}`
-	// A sweep's headers arrive with its first record, so each request goes
-	// from its own goroutine, where postSweep's t.Fatal must not run.
-	var wg sync.WaitGroup
+	// A sweep's headers arrive before any point is computed, so both
+	// requests are in flight before either stream is read.
 	var resps [2]*http.Response
-	var errs [2]error
 	for i, u := range urls {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resps[i], errs[i] = http.Post(u+"/v1/sweep", "application/json", strings.NewReader(body))
-		}()
+		resp, err := http.Post(u+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("replica %d: %v", i, err)
+		}
+		resps[i] = resp
 	}
-	wg.Wait()
 
 	for i, resp := range resps {
-		if errs[i] != nil {
-			t.Fatalf("replica %d: %v", i, errs[i])
-		}
 		var sum sweepLine
 		seen := map[int]bool{}
 		for _, l := range decodeSweepStream(t, resp) {

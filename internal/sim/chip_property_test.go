@@ -14,6 +14,7 @@ package sim
 // across all seven memtech configs under LTRF_FULL_PROPERTY=1 (nightly CI).
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -120,7 +121,7 @@ func TestChipEnergyConservation(t *testing.T) {
 					c.Tech = memtech.MustConfig(tech)
 					c.MaxInstrs = budget
 					c.MaxCycles = budget * 12
-					res, err := RunWithCache(c, w.prog, cc)
+					res, err := RunWithCacheCtx(context.Background(), c, w.prog, cc)
 					if err != nil {
 						t.Fatalf("tech#%d %s: %v", tech, w.name, err)
 					}
@@ -171,7 +172,7 @@ func TestChipEnergyRespectsConfigOverride(t *testing.T) {
 	base := DefaultConfig(DesignBL)
 	base.MaxInstrs = 1200
 	base.MaxCycles = 1200 * 12
-	resBase, err := Run(base, w.prog)
+	resBase, err := RunWithCacheCtx(context.Background(), base, w.prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestChipEnergyRespectsConfigOverride(t *testing.T) {
 
 	boosted := base
 	boosted.Chip.SMLeakPerCycle = power.DefaultChipConfig().SMLeakPerCycle * 10
-	resBoost, err := Run(boosted, w.prog)
+	resBoost, err := RunWithCacheCtx(context.Background(), boosted, w.prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,9 @@ import (
 // A nil *CompileCache is valid and means "no memoization": every method
 // computes its result directly.
 type CompileCache struct {
-	mu       sync.Mutex
-	pressure map[*isa.Program]*pressureEntry
-	allocs   map[allocKey]*allocEntry
-	parts    map[partKey]*partEntry
+	pressure onceMap[*isa.Program, int]
+	allocs   onceMap[allocKey, allocation]
+	parts    onceMap[partKey, *core.Partition]
 
 	compiles atomic.Int64 // allocation pipelines actually executed (misses)
 }
@@ -48,18 +47,38 @@ func (cc *CompileCache) Compiles() int64 {
 }
 
 // NewCompileCache returns an empty compile cache.
-func NewCompileCache() *CompileCache {
-	return &CompileCache{
-		pressure: map[*isa.Program]*pressureEntry{},
-		allocs:   map[allocKey]*allocEntry{},
-		parts:    map[partKey]*partEntry{},
-	}
+func NewCompileCache() *CompileCache { return &CompileCache{} }
+
+// onceMap computes one value per key exactly once (singleflight): the first
+// caller for a key runs the computation, and every other caller for that
+// key blocks until it is done and shares its outcome, error included. The
+// zero value is ready to use.
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceEntry[V]
 }
 
-type pressureEntry struct {
-	once   sync.Once
-	demand int
-	err    error
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// do returns the outcome of compute for key k, running compute only if no
+// caller has run it for k before.
+func (om *onceMap[K, V]) do(k K, compute func() (V, error)) (V, error) {
+	om.mu.Lock()
+	e, ok := om.m[k]
+	if !ok {
+		if om.m == nil {
+			om.m = map[K]*onceEntry[V]{}
+		}
+		e = &onceEntry[V]{}
+		om.m[k] = e
+	}
+	om.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
 }
 
 type allocKey struct {
@@ -67,11 +86,10 @@ type allocKey struct {
 	regCap  int
 }
 
-type allocEntry struct {
-	once   sync.Once
+// allocation is an allocated kernel and the registers its cap spilled.
+type allocation struct {
 	prog   *isa.Program
 	spills int
-	err    error
 }
 
 type partKey struct {
@@ -80,29 +98,13 @@ type partKey struct {
 	n       int
 }
 
-type partEntry struct {
-	once sync.Once
-	part *core.Partition
-	err  error
-}
-
 // Pressure returns the unconstrained per-thread register demand of a
 // virtual-register kernel (regalloc.Pressure), memoized per program.
 func (cc *CompileCache) Pressure(virtual *isa.Program) (int, error) {
 	if cc == nil {
 		return regalloc.Pressure(virtual)
 	}
-	cc.mu.Lock()
-	e, ok := cc.pressure[virtual]
-	if !ok {
-		e = &pressureEntry{}
-		cc.pressure[virtual] = e
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() {
-		e.demand, e.err = regalloc.Pressure(virtual)
-	})
-	return e.demand, e.err
+	return cc.pressure.do(virtual, func() (int, error) { return regalloc.Pressure(virtual) })
 }
 
 // Allocate register-allocates a kernel under the given cap and annotates
@@ -112,18 +114,12 @@ func (cc *CompileCache) Allocate(virtual *isa.Program, regCap int) (*isa.Program
 	if cc == nil {
 		return allocateAnnotated(virtual, regCap)
 	}
-	cc.mu.Lock()
-	e, ok := cc.allocs[allocKey{virtual, regCap}]
-	if !ok {
-		e = &allocEntry{}
-		cc.allocs[allocKey{virtual, regCap}] = e
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() {
+	a, err := cc.allocs.do(allocKey{virtual, regCap}, func() (allocation, error) {
 		cc.compiles.Add(1)
-		e.prog, e.spills, e.err = allocateAnnotated(virtual, regCap)
+		prog, spills, err := allocateAnnotated(virtual, regCap)
+		return allocation{prog, spills}, err
 	})
-	return e.prog, e.spills, e.err
+	return a.prog, a.spills, err
 }
 
 // Partition forms the prefetch partition (register-intervals or strands)
@@ -133,17 +129,9 @@ func (cc *CompileCache) Partition(prog *isa.Program, strands bool, n int) (*core
 	if cc == nil {
 		return formPartition(prog, strands, n)
 	}
-	cc.mu.Lock()
-	e, ok := cc.parts[partKey{prog, strands, n}]
-	if !ok {
-		e = &partEntry{}
-		cc.parts[partKey{prog, strands, n}] = e
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() {
-		e.part, e.err = formPartition(prog, strands, n)
+	return cc.parts.do(partKey{prog, strands, n}, func() (*core.Partition, error) {
+		return formPartition(prog, strands, n)
 	})
-	return e.part, e.err
 }
 
 // CompileInfo is the outcome of the compiler pipeline for one

@@ -13,6 +13,7 @@ package sim
 // interleaving.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -30,12 +31,12 @@ import (
 func runBothModes(t *testing.T, label string, c Config, prog *isa.Program, cc *CompileCache) Stats {
 	t.Helper()
 	c.reference = false
-	ff, err := RunWithCache(c, prog, cc)
+	ff, err := RunWithCacheCtx(context.Background(), c, prog, cc)
 	if err != nil {
 		t.Fatalf("%s (fast-forward): %v", label, err)
 	}
 	c.reference = true
-	ca, err := RunWithCache(c, prog, cc)
+	ca, err := RunWithCacheCtx(context.Background(), c, prog, cc)
 	if err != nil {
 		t.Fatalf("%s (reference): %v", label, err)
 	}
@@ -123,12 +124,12 @@ func TestFastForwardEquivalenceDiagnostics(t *testing.T) {
 		{"ideal-flat", ideal},
 	} {
 		tc.cfg.reference = false
-		ff, err := RunWithCache(tc.cfg, kernel, cc)
+		ff, err := RunWithCacheCtx(context.Background(), tc.cfg, kernel, cc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
 		tc.cfg.reference = true
-		ca, err := RunWithCache(tc.cfg, kernel, cc)
+		ca, err := RunWithCacheCtx(context.Background(), tc.cfg, kernel, cc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
@@ -213,12 +214,12 @@ func TestGPUFastForwardEquivalence(t *testing.T) {
 			kernel := tiledKernel(30, 10)
 
 			c.reference = false
-			ff, err := RunGPU(c, nSMs, kernel)
+			ff, err := RunGPUCtx(context.Background(), c, nSMs, kernel)
 			if err != nil {
 				t.Fatalf("%v/%dSM: %v", d, nSMs, err)
 			}
 			c.reference = true
-			ca, err := RunGPU(c, nSMs, kernel)
+			ca, err := RunGPUCtx(context.Background(), c, nSMs, kernel)
 			if err != nil {
 				t.Fatalf("%v/%dSM: %v", d, nSMs, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ltrf/internal/isa"
-	"ltrf/internal/memsys"
 	"ltrf/internal/power"
 )
 
@@ -61,49 +60,24 @@ func (r *GPUResult) ChipEvents() power.ChipEvents {
 	return ev
 }
 
-// RunGPU simulates nSMs streaming multiprocessors in lockstep, each with a
-// private L1 and register file, sharing the LLC and DRAM (Table 3's system
+// RunGPUCtx simulates nSMs streaming multiprocessors in lockstep, each with
+// a private L1 and register file, sharing the LLC and DRAM (Table 3's system
 // has 24 SMs; the per-SM experiments in internal/exp use one SM for runtime
 // and note the substitution). Each SM runs the same kernel on a distinct
-// slice of the grid: warp identities are offset per SM so memory streams
-// differ, exactly like a grid-strided launch.
-func RunGPU(c Config, nSMs int, virtual *isa.Program) (*GPUResult, error) {
-	return RunGPUCtx(context.Background(), c, nSMs, virtual)
-}
-
-// RunGPUCtx is RunGPU under a cancellation context: the lockstep loop polls
-// ctx.Done() on the same coarse cadence as the single-SM advance loop and
-// returns ctx.Err() when it fires. Uncancelled runs are byte-identical to
-// RunGPU.
+// slice of the grid. Setup, per-SM statistics and cancellation are those of
+// RunWithCacheCtx: the lockstep loop polls ctx through SM 0 and a cancelled
+// run's error names SM 0's cycle. Uncancelled runs are identical to runs
+// under context.Background().
 func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*GPUResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	if nSMs < 1 {
 		nSMs = 1
 	}
-	info, err := (*CompileCache)(nil).Compile(&c, virtual)
+	l, err := newLaunch(ctx, &c, virtual, nil, nSMs)
 	if err != nil {
 		return nil, err
 	}
-	prog, part, warps := info.Prog, info.Part, info.Warps
-
-	l2 := memsys.MustNewCache(c.Mem.L2)
-	dram := memsys.NewDRAM(c.Mem.DRAM)
-
-	sms := make([]*SM, nSMs)
-	for i := 0; i < nSMs; i++ {
-		// Each SM owns a private shared-memory scratchpad; its register
-		// subsystem reserves spill space from ITS scratchpad, so per-SM
-		// contention stays local while L2/DRAM contention is shared.
-		mem := memsys.NewShared(c.Mem, l2, dram)
-		mem.Shared.SetWorkloadBytes(memsys.WorkloadSharedBytes(virtual) * c.CTAs())
-		rf, err := buildSubsystem(&c, prog, part, mem.Shared, warps)
-		if err != nil {
-			return nil, err
-		}
-		sms[i] = newSM(&c, prog, part, rf, mem, warps, i*warps)
-	}
+	defer l.release()
+	sms := l.sms
 
 	// Lockstep: one issue pass across all SMs per iteration, so shared
 	// L2/DRAM contention interleaves in time order. The event-driven clock
@@ -115,22 +89,9 @@ func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*
 	fastForward := !c.reference
 	passed := make([]bool, nSMs)
 	idles := make([]bool, nSMs)
-	done := ctx.Done()
-	var iters int64
 	for {
-		if done != nil {
-			iters++
-			if iters&cancelCheckMask == 0 {
-				select {
-				case <-done:
-					for _, sm := range sms {
-						sm.mem.Release()
-					}
-					l2.Release()
-					return nil, ctx.Err()
-				default:
-				}
-			}
+		if sms[0].cancelled() {
+			return nil, sms[0].cancelErr()
 		}
 		progress := false
 		allIdle := true
@@ -177,18 +138,12 @@ func RunGPUCtx(ctx context.Context, c Config, nSMs int, virtual *isa.Program) (*
 			res.Chip.Events.AddPrivate(st.Mem.Events)
 		}
 	}
-	res.L2HitRate = l2.Stats.HitRate()
-	res.DRAMRowHit = dram.RowHitRate()
+	res.L2HitRate = l.l2.Stats.HitRate()
+	res.DRAMRowHit = l.dram.RowHitRate()
 	res.Chip.L2HitRate = res.L2HitRate
 	res.Chip.DRAMRowHit = res.DRAMRowHit
 	if res.Chip.L1Accesses > 0 {
 		res.Chip.L1HitRate = float64(res.Chip.L1Hits) / float64(res.Chip.L1Accesses)
 	}
-	// Every statistic is captured; recycle the cache storage (the shared
-	// L2 once, each SM's private L1 via its hierarchy view).
-	for _, sm := range sms {
-		sm.mem.Release()
-	}
-	l2.Release()
 	return res, nil
 }

@@ -7,6 +7,7 @@ package sim
 // attribute shared structures exactly once; these tests pin that contract.
 
 import (
+	"context"
 	"testing"
 
 	"ltrf/internal/power"
@@ -17,7 +18,7 @@ func TestGPUChipEventsAttributeSharedOnce(t *testing.T) {
 	c := DefaultConfig(DesignLTRF)
 	c.MaxInstrs = 8000
 	c.MaxCycles = 8000 * 12
-	res, err := RunGPU(c, nSMs, streamKernel(10, 400))
+	res, err := RunGPUCtx(context.Background(), c, nSMs, streamKernel(10, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestGPUChipViewSingleSM(t *testing.T) {
 	c := DefaultConfig(DesignBL)
 	c.MaxInstrs = 4000
 	c.MaxCycles = 4000 * 12
-	res, err := RunGPU(c, 1, streamKernel(8, 200))
+	res, err := RunGPUCtx(context.Background(), c, 1, streamKernel(8, 200))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,22 @@
 package sim
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"ltrf/internal/isa"
-	"ltrf/internal/memsys"
 )
 
-// buildTestSM compiles a kernel and wires an SM exactly like Run does,
-// returning it un-stepped.
+// buildTestSM sets up a one-SM launch exactly like RunWithCacheCtx does,
+// returning its SM un-stepped.
 func buildTestSM(t testing.TB, c Config, virtual *isa.Program) *SM {
 	t.Helper()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := (*CompileCache)(nil).Compile(&c, virtual)
+	l, err := newLaunch(context.Background(), &c, virtual, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := memsys.NewHierarchy(c.Mem)
-	mem.Shared.SetWorkloadBytes(memsys.WorkloadSharedBytes(virtual))
-	rf, err := buildSubsystem(&c, info.Prog, info.Part, mem.Shared, info.Warps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newSM(&c, info.Prog, info.Part, rf, mem, info.Warps, 0)
+	return l.sms[0]
 }
 
 // step advances the SM by one cycle, returning false when the kernel has
@@ -177,8 +169,8 @@ func TestFinishedCounterMatchesScan(t *testing.T) {
 	}
 }
 
-// TestRunWithCacheMatchesRun asserts cached compilation changes nothing
-// about simulation results, and that the cache actually dedups compiles.
+// TestRunWithCacheMatchesRun asserts a compile cache changes nothing about
+// simulation results, and that a cached rerun compiles nothing.
 func TestRunWithCacheMatchesRun(t *testing.T) {
 	kernel := tiledKernel(40, 12)
 	cc := NewCompileCache()
@@ -186,27 +178,29 @@ func TestRunWithCacheMatchesRun(t *testing.T) {
 		c := DefaultConfig(d)
 		c.MaxInstrs = 10_000
 		c.MaxCycles = c.MaxInstrs * 12
-		plain, err := Run(c, kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, lx := range []float64{1, 4} {
 			c.LatencyX = lx
-			c1, c2 := c, c
-			r1, err := RunWithCache(c1, kernel, cc)
+			plain, err := RunWithCacheCtx(context.Background(), c, kernel, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := RunWithCache(c2, kernel, cc)
+			r1, err := RunWithCacheCtx(context.Background(), c, kernel, cc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r1.Cycles != r2.Cycles || r1.Instrs != r2.Instrs || r1.IPC != r2.IPC {
-				t.Errorf("%v@%gx: cached rerun differs: %+v vs %+v", d, lx, r1.Stats, r2.Stats)
+			compiles := cc.Compiles()
+			r2, err := RunWithCacheCtx(context.Background(), c, kernel, cc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if lx == 1 && (r1.Cycles != plain.Cycles || r1.IPC != plain.IPC) {
-				t.Errorf("%v: RunWithCache differs from Run: cycles %d vs %d",
-					d, r1.Cycles, plain.Cycles)
+			if !reflect.DeepEqual(r1, plain) {
+				t.Errorf("%v@%gx: cached run differs from uncached:\n%+v\n%+v", d, lx, r1.Stats, plain.Stats)
+			}
+			if !reflect.DeepEqual(r2, r1) {
+				t.Errorf("%v@%gx: cached rerun differs:\n%+v\n%+v", d, lx, r2.Stats, r1.Stats)
+			}
+			if n := cc.Compiles(); n != compiles {
+				t.Errorf("%v@%gx: cached rerun compiled %d more times, want 0", d, lx, n-compiles)
 			}
 		}
 	}

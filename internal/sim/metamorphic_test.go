@@ -24,6 +24,7 @@ package sim
 // config axes), not tuned constants the simulator special-cases.
 
 import (
+	"context"
 	"testing"
 
 	"ltrf/internal/workloads"
@@ -46,7 +47,7 @@ func latencyGrowth(t *testing.T, d Design, w workloads.Workload, unroll int) flo
 	prog := w.Build(unroll)
 	var cyc [2]int64
 	for i, latX := range []float64{1.0, 6.3} {
-		res, err := Run(metaConfig(d, latX), prog)
+		res, err := RunWithCacheCtx(context.Background(), metaConfig(d, latX), prog, nil)
 		if err != nil {
 			t.Fatalf("%s under %s latX=%g: %v", w.Name, d, latX, err)
 		}
@@ -111,7 +112,7 @@ func TestMetamorphicSchedulerSensitivity(t *testing.T) {
 			c.ActiveWarps = 4
 			c.MaxCycles = 6_000_000
 			c.Scheduler = sched
-			res, err := Run(c, prog)
+			res, err := RunWithCacheCtx(context.Background(), c, prog, nil)
 			if err != nil {
 				t.Fatalf("%s sched=%s: %v", w.Name, sched, err)
 			}

@@ -16,6 +16,7 @@ package sim
 //   - cycles are monotone under added register-file latency.
 
 import (
+	"context"
 	"math"
 	"os"
 	"reflect"
@@ -197,7 +198,7 @@ func TestDesignInvariantsCrossProduct(t *testing.T) {
 						c.CapacityKB = int(float64(c.Tech.CapacityKB()) * scale)
 						c.MaxInstrs = budget
 						c.MaxCycles = budget * 12
-						res, err := RunWithCache(c, w.prog, cc)
+						res, err := RunWithCacheCtx(context.Background(), c, w.prog, cc)
 						if err != nil {
 							t.Fatalf("tech#%d x%.1f %s: %v", tech, scale, w.name, err)
 						}
@@ -256,13 +257,13 @@ func TestCyclesMonotoneUnderAddedLatency(t *testing.T) {
 				base := DefaultConfig(Design(name))
 				base.MaxInstrs = budget
 				base.MaxCycles = budget * 12
-				fast, err := RunWithCache(base, w.prog, cc)
+				fast, err := RunWithCacheCtx(context.Background(), base, w.prog, cc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				slow := base
 				slow.LatencyX = 6.3
-				slowRes, err := RunWithCache(slow, w.prog, cc)
+				slowRes, err := RunWithCacheCtx(context.Background(), slow, w.prog, cc)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,6 +11,7 @@ package sim
 // compactions shifting them, and due-heap pops.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -345,12 +346,12 @@ func FuzzIndexedScanEquivalence(f *testing.F) {
 		}
 
 		c.reference = false
-		ff, err := Run(c, prog)
+		ff, err := RunWithCacheCtx(context.Background(), c, prog, nil)
 		if err != nil {
 			t.Skip() // config rejected by a deeper layer: nothing to compare
 		}
 		c.reference = true
-		ca, err := Run(c, prog)
+		ca, err := RunWithCacheCtx(context.Background(), c, prog, nil)
 		if err != nil {
 			t.Fatalf("reference run failed where indexed run succeeded: %v", err)
 		}

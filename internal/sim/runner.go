@@ -10,7 +10,7 @@ import (
 	"ltrf/internal/regfile"
 )
 
-// Result is the outcome of Run.
+// Result is the outcome of RunWithCacheCtx.
 type Result struct {
 	Stats
 	Design   Design
@@ -117,76 +117,96 @@ func buildSubsystem(c *Config, prog *isa.Program, part *core.Partition, shared *
 	})
 }
 
-// Run simulates one kernel under one configuration and returns the result.
-// The kernel may use virtual registers; Run performs the maxregcount-style
-// allocation for the configuration's register file capacity.
-func Run(c Config, virtual *isa.Program) (*Result, error) {
-	return RunWithCacheCtx(context.Background(), c, virtual, nil)
+// launch is one kernel launch's simulated hardware: the SMs and the L2 and
+// DRAM they share. A single-SM run is a launch of one.
+type launch struct {
+	info CompileInfo
+	sms  []*SM
+	l2   *memsys.Cache
+	dram *memsys.DRAM
 }
 
-// RunCtx is Run under a cancellation context: the advance loop polls
-// ctx.Done() every cancelCheckMask+1 passes and returns ctx.Err() (wrapped
-// with the cycle/instruction position) when it fires. An uncancelled RunCtx
-// is byte-identical to Run — the poll reads no simulation state.
-func RunCtx(ctx context.Context, c Config, virtual *isa.Program) (*Result, error) {
-	return RunWithCacheCtx(ctx, c, virtual, nil)
-}
-
-// RunWithCache is Run with a compile cache: the kernel's allocation and
-// partition formation are memoized in cc (when non-nil) so that sweeps
-// re-simulating the same kernel under many timing configurations compile it
-// once. The simulation itself is unaffected — results are identical to Run.
-func RunWithCache(c Config, virtual *isa.Program, cc *CompileCache) (*Result, error) {
-	return RunWithCacheCtx(context.Background(), c, virtual, cc)
-}
-
-// RunWithCacheCtx is RunWithCache under a cancellation context (see RunCtx).
-func RunWithCacheCtx(ctx context.Context, c Config, virtual *isa.Program, cc *CompileCache) (*Result, error) {
+// newLaunch is the one setup every simulation goes through. It validates
+// the configuration, compiles the kernel through cc (nil compiles without
+// memoizing), and builds one L2, one DRAM and nSMs SMs on them, each with
+// its private L1 and shared-memory scratchpad and its own register
+// subsystem. Each SM runs the same kernel on a distinct slice of the grid:
+// warp identities are offset per SM so memory streams differ, exactly like
+// a grid-strided launch. ctx arms each SM's cancellation poll.
+func newLaunch(ctx context.Context, c *Config, virtual *isa.Program, cc *CompileCache, nSMs int) (*launch, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	info, err := cc.Compile(&c, virtual)
+	info, err := cc.Compile(c, virtual)
 	if err != nil {
 		return nil, err
 	}
+	l := &launch{
+		info: info,
+		sms:  make([]*SM, 0, nSMs),
+		l2:   memsys.MustNewCache(c.Mem.L2),
+		dram: memsys.NewDRAM(c.Mem.DRAM),
+	}
+	for i := 0; i < nSMs; i++ {
+		// The memory system exists before the register subsystem: designs
+		// that spill into shared memory (regdem) reserve their scratchpad
+		// from the SM's occupancy-tracked shared memory, AFTER the
+		// workload's own footprint is recorded — so the reservation can
+		// fail and the design falls back, exactly as the occupancy hook
+		// predicted. Each resident CTA instantiates the kernel's
+		// shared-memory footprint (the per-CTA budget split is resolved in
+		// Config.SharedFreeBytes).
+		mem := memsys.NewShared(c.Mem, l.l2, l.dram)
+		mem.Shared.SetWorkloadBytes(memsys.WorkloadSharedBytes(virtual) * c.CTAs())
+		rf, err := buildSubsystem(c, info.Prog, info.Part, mem.Shared, info.Warps)
+		if err != nil {
+			mem.Release()
+			l.release()
+			return nil, err
+		}
+		sm := newSM(c, &l.info, rf, mem, i*info.Warps)
+		sm.attachContext(ctx)
+		l.sms = append(l.sms, sm)
+	}
+	return l, nil
+}
 
-	// The memory system exists before the register subsystem: designs that
-	// spill into shared memory (regdem) reserve their scratchpad from the
-	// hierarchy's occupancy-tracked shared memory, AFTER the workload's own
-	// footprint is recorded — so the reservation can fail and the design
-	// falls back, exactly as the occupancy hook predicted.
-	mem := memsys.NewHierarchy(c.Mem)
-	// Each resident CTA instantiates the kernel's shared-memory footprint
-	// (the per-CTA budget split is resolved in Config.SharedFreeBytes).
-	mem.Shared.SetWorkloadBytes(memsys.WorkloadSharedBytes(virtual) * c.CTAs())
+// release recycles the cache storage of every SM's private L1 and of the
+// shared L2. Runners call it once every statistic is captured.
+func (l *launch) release() {
+	for _, sm := range l.sms {
+		sm.mem.Release()
+	}
+	l.l2.Release()
+}
 
-	rf, err := buildSubsystem(&c, info.Prog, info.Part, mem.Shared, info.Warps)
+// RunWithCacheCtx simulates one kernel on one SM under one configuration.
+// The kernel may use virtual registers: the run performs the
+// maxregcount-style allocation for the configuration's register file
+// capacity. The compile cache cc (nil for none) memoizes allocation and
+// partition formation, so sweeps re-simulating one kernel under many timing
+// configurations compile it once; the results are identical either way.
+//
+// The advance loop polls ctx.Done() every cancelCheckMask+1 passes and
+// returns ctx.Err(), wrapped with the cycle and instruction position, when
+// it fires. The poll reads no simulation state, so an uncancelled run is
+// identical to one under context.Background().
+func RunWithCacheCtx(ctx context.Context, c Config, virtual *isa.Program, cc *CompileCache) (*Result, error) {
+	l, err := newLaunch(ctx, &c, virtual, cc, 1)
 	if err != nil {
 		return nil, err
 	}
-
-	warps := info.Warps
-	sm := newSM(&c, info.Prog, info.Part, rf, mem, warps, 0)
-	sm.attachContext(ctx)
-	st, err := sm.run()
-	if err != nil {
-		mem.Release()
+	defer l.release()
+	sm := l.sms[0]
+	if err := sm.run(); err != nil {
 		return nil, err
 	}
-	st.Warps = warps
-	st.RegsPerThread = info.Prog.RegCount()
-	st.SpilledRegs = info.Spills
-	// finalize (inside run) has copied every memory-system statistic into
-	// st, so the hierarchy's cache storage can be recycled for the next
-	// simulation.
-	mem.Release()
-
 	return &Result{
-		Stats:    st,
+		Stats:    sm.finalize(),
 		Design:   c.Design,
 		Config:   c,
 		Kernel:   virtual.Name,
-		Demand:   info.Demand,
-		Capacity: info.CapacityKB,
+		Demand:   l.info.Demand,
+		Capacity: l.info.CapacityKB,
 	}, nil
 }

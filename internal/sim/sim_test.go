@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -106,9 +107,9 @@ func hungryKernel(regs, iters int) *isa.Program {
 
 func run(t *testing.T, c Config, p *isa.Program) *Result {
 	t.Helper()
-	res, err := Run(c, p)
+	res, err := RunWithCacheCtx(context.Background(), c, p, nil)
 	if err != nil {
-		t.Fatalf("Run(%v, %s): %v", c.Design, p.Name, err)
+		t.Fatalf("RunWithCacheCtx(%v, %s): %v", c.Design, p.Name, err)
 	}
 	return res
 }
@@ -370,12 +371,12 @@ func TestWideXbarAblation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	c := DefaultConfig(DesignLTRF)
 	c.LatencyX = 0
-	if _, err := Run(c, streamKernel(8, 4)); err == nil {
+	if _, err := RunWithCacheCtx(context.Background(), c, streamKernel(8, 4), nil); err == nil {
 		t.Error("zero latency multiplier must be rejected")
 	}
 	c = DefaultConfig(DesignLTRF)
 	c.RegsPerInterval = 2
-	if _, err := Run(c, streamKernel(8, 4)); err == nil {
+	if _, err := RunWithCacheCtx(context.Background(), c, streamKernel(8, 4), nil); err == nil {
 		t.Error("tiny interval budget must be rejected")
 	}
 	c.RegsPerInterval = isa.MaxArchRegs + 1
@@ -409,7 +410,7 @@ func TestRunGPUMultiSM(t *testing.T) {
 	p := tiledKernel(4, 4)
 	c := cfgAt(DesignLTRF, 2.0)
 	c.MaxInstrs = 8000
-	res, err := RunGPU(c, 4, p)
+	res, err := RunGPUCtx(context.Background(), c, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestRunGPUMultiSM(t *testing.T) {
 		t.Errorf("L2 hit rate %v out of range", res.L2HitRate)
 	}
 	// Determinism across runs.
-	res2, err := RunGPU(c, 4, p)
+	res2, err := RunGPUCtx(context.Background(), c, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,11 +445,11 @@ func TestRunGPUSharedMemoryContention(t *testing.T) {
 	p := streamKernel(12, 20)
 	c := cfgAt(DesignBL, 1.0)
 	c.MaxInstrs = 8000
-	one, err := RunGPU(c, 1, p)
+	one, err := RunGPUCtx(context.Background(), c, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := RunGPU(c, 8, p)
+	eight, err := RunGPUCtx(context.Background(), c, 8, p)
 	if err != nil {
 		t.Fatal(err)
 	}

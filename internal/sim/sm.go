@@ -151,11 +151,12 @@ type SM struct {
 	deactOn bool
 
 	// cancel is the simulation's cancellation signal (ctx.Done() of the
-	// context handed to RunCtx; nil when the caller supplied none). The run
-	// loop polls it every cancelCheckMask+1 passes — coarse-grained on
-	// purpose, so the uncancelled hot path costs one nil check per pass and
-	// the simulated results stay byte-identical whether or not a context is
-	// attached. ctx carries the matching context for the error.
+	// run's context; nil when that context can never be cancelled). The run
+	// loop, or the lockstep loop through SM 0, polls it every
+	// cancelCheckMask+1 passes — coarse-grained on purpose, so the
+	// uncancelled hot path costs one nil check per pass and the simulated
+	// results stay byte-identical whether or not a context is attached. ctx
+	// carries the matching context for the error.
 	cancel <-chan struct{}
 	ctx    context.Context
 	passes int64
@@ -169,6 +170,8 @@ type SM struct {
 	ctaFin     []int32 // warps in stateFinished, per CTA
 
 	st Stats
+
+	spills int // registers the kernel's allocation spilled (for Stats)
 }
 
 // cancelCheckMask throttles the cancellation poll to one channel select per
@@ -214,10 +217,12 @@ func (sm *SM) cancelErr() error {
 		sm.cycle, sm.instrs, sm.ctx.Err())
 }
 
-// newSM wires an SM together. nWarps warps all start inactive and ready.
-// warpIDBase offsets global warp identities so that SMs of a multi-SM GPU
-// generate distinct memory address streams (grid-style work distribution).
-func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subsystem, mem *memsys.Hierarchy, nWarps, warpIDBase int) *SM {
+// newSM wires an SM together for a compiled kernel. The info.Warps
+// resident warps all start inactive and ready. warpIDBase offsets global
+// warp identities so that SMs of a multi-SM GPU generate distinct memory
+// address streams (grid-style work distribution).
+func newSM(cfg *Config, info *CompileInfo, rf regfile.Subsystem, mem *memsys.Hierarchy, warpIDBase int) *SM {
+	prog, nWarps := info.Prog, info.Warps
 	meta, slots := buildInstrMeta(prog)
 	// Table 3: the two-level scheduler [19, 53] runs for every design,
 	// including the BL baseline. SchedFlat makes all resident warps
@@ -228,7 +233,8 @@ func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subs
 		activeCap = nWarps
 	}
 	sm := &SM{
-		cfg: cfg, prog: prog, meta: meta, part: part, rf: rf, mem: mem,
+		cfg: cfg, prog: prog, meta: meta, part: info.Part, rf: rf, mem: mem,
+		spills:     info.Spills,
 		activeCap:  activeCap,
 		collectors: make([]int64, cfg.Collectors),
 		indexed:    !cfg.reference,
@@ -276,18 +282,19 @@ func newSM(cfg *Config, prog *isa.Program, part *core.Partition, rf regfile.Subs
 	return sm
 }
 
-// run executes the kernel until all warps finish or a budget is exhausted.
+// run executes the kernel until all warps finish, a budget is exhausted or
+// the attached context is cancelled; finalize then reads the statistics.
 // The clock is event-driven: whenever an issue pass turns out idle, the SM
 // jumps straight to the next cycle at which anything can change instead of
 // ticking through the dead span one cycle at a time — with observably
 // identical results (see pass/nextEventCycle/advanceTo for why, and the
 // equivalence property suite for proof). The unexported Config.reference
 // hook pins the one-cycle-per-pass reference clock.
-func (sm *SM) run() (Stats, error) {
+func (sm *SM) run() error {
 	fastForward := !sm.cfg.reference
 	for sm.runnable() {
 		if sm.cancelled() {
-			return sm.st, sm.cancelErr()
+			return sm.cancelErr()
 		}
 		idle := sm.pass()
 		next := sm.cycle + 1
@@ -296,7 +303,7 @@ func (sm *SM) run() (Stats, error) {
 		}
 		sm.advanceTo(next, idle)
 	}
-	return sm.finalize(), nil
+	return nil
 }
 
 // runnable reports whether the SM can still make progress: budgets not
@@ -384,8 +391,12 @@ func (sm *SM) advanceTo(t int64, idle bool) {
 	}
 }
 
-// finalize computes the result statistics.
+// finalize computes the result statistics: the one finish step of every
+// SM, whether it ran alone or in lockstep with others.
 func (sm *SM) finalize() Stats {
+	sm.st.Warps = len(sm.warps)
+	sm.st.RegsPerThread = sm.prog.RegCount()
+	sm.st.SpilledRegs = sm.spills
 	sm.st.Cycles = sm.cycle
 	sm.st.Instrs = sm.instrs
 	if sm.cycle > 0 {

@@ -9,6 +9,7 @@ package workloads
 // variant sneaking in extra (or cheaper) work.
 
 import (
+	"context"
 	"testing"
 
 	"ltrf/internal/regalloc"
@@ -55,7 +56,7 @@ type perWarp struct {
 func classProfile(t *testing.T, w Workload, d sim.Design, unroll int) perWarp {
 	t.Helper()
 	cfg := sim.DefaultConfig(d)
-	res, err := sim.Run(cfg, w.Build(unroll))
+	res, err := sim.RunWithCacheCtx(context.Background(), cfg, w.Build(unroll), nil)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", w.Name, d, err)
 	}

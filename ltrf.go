@@ -334,11 +334,7 @@ func Simulate(o SimOptions, kernel *Program) (*SimResult, error) {
 // when it fires, so deadlines and interrupts stop simulations instead of
 // leaking them. An uncancelled run is byte-identical to Simulate.
 func SimulateContext(ctx context.Context, o SimOptions, kernel *Program) (*SimResult, error) {
-	c, err := o.config()
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunCtx(ctx, c, kernel)
+	return SimulateCached(ctx, nil, o, kernel)
 }
 
 // SimCache memoizes the compiler pipeline (register allocation, dead-bit
@@ -373,7 +369,7 @@ func SimulateGPU(o SimOptions, numSMs int, kernel *Program) (*GPUResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunGPU(c, numSMs, kernel)
+	return sim.RunGPUCtx(context.Background(), c, numSMs, kernel)
 }
 
 // Compiler-era unroll factors for Workload.Build (Table 1): the Fermi-era
